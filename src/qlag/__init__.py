@@ -72,6 +72,7 @@ from .simulator import (
     GradualLinear,
     InvalidScheduleError,
     JobRecord,
+    ParameterError,
     ParamSchedule,
     STATE_BUSY,
     STATE_IDLE,
@@ -83,6 +84,7 @@ from .simulator import (
     run_fixed_lag,
     server_state_at_arrival,
     state_from_wait,
+    sweep_lags,
 )
 from .streams import substream
 

@@ -33,6 +33,7 @@ was called, and a fixed seed reproduces the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -43,6 +44,8 @@ from .distributions import DistributionSpec
 from .simulator import (
     STATE_BUSY,
     STATE_IDLE,
+    EmptyWindowError,
+    ParameterError,
     ParamSchedule,
     Trajectory,
     Window,
@@ -75,8 +78,10 @@ class PosteriorState:
     updates_applied: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError(f"Gamma parameters must be positive, got ({self.alpha}, {self.beta})")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(
+                f"Gamma parameters must be finite and positive, got ({self.alpha}, {self.beta})"
+            )
 
     @property
     def mean_rate(self) -> float:
@@ -113,10 +118,10 @@ class BayesConfig:
     rule: str = "gradient"
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("prior parameters must be positive")
-        if self.eps_idle < 0 or self.eps_busy < 0:
-            raise ValueError("state increments must be nonnegative")
+        if not (0 < self.alpha0 < math.inf and 0 < self.beta0 < math.inf):
+            raise ValueError("prior parameters must be finite and positive")
+        if not (0 <= self.eps_idle < math.inf and 0 <= self.eps_busy < math.inf):
+            raise ValueError("state increments must be finite and nonnegative")
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
 
@@ -263,11 +268,11 @@ def run_adaptive(
     trajectory. Deterministic for a fixed seed.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 jobs, got {n}")
+        raise ParameterError("n", f"need at least 2 jobs, got {n}")
     if reporting.kind == "all":
         pass
     elif reporting.size > n:
-        raise ValueError(
+        raise EmptyWindowError(
             f"reporting window of {reporting.size} jobs exceeds the {n}-job run"
         )
     ts_means, td_means = schedule_means(schedule, n)

@@ -36,7 +36,14 @@ from .config import (
 from .gridsearch import optimize
 from .reward import ExponentialReward, PolynomialReward
 from .scenarios import ExperimentSpec, mean_shift_run, run_suite, suite_to_csv
-from .simulator import Window, estimate_reward, run_fixed_lag
+from .simulator import (
+    EmptyWindowError,
+    InvalidScheduleError,
+    ParameterError,
+    Window,
+    estimate_reward,
+    run_fixed_lag,
+)
 
 __all__ = ["main", "COMMAND_CONFIG_KEYS"]
 
@@ -193,6 +200,32 @@ def _window_from(cfg: dict, key: str, default: Window) -> Window:
     return parse_window(cfg[key], key)
 
 
+def _scalar(cfg: dict, key: str, cast, default=None):
+    """cfg[key] converted by cast, or default when absent; a bad value names key."""
+    if key not in cfg:
+        return default
+    try:
+        return cast(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
+def _run_error(exc: ValueError, window: str, fallback: str) -> ConfigError:
+    """The config error naming the field behind a ValueError a run raised:
+    the window field for a window that does not fit, ``schedule`` for a
+    schedule the laws cannot follow, the parameter a ParameterError names,
+    and ``fallback`` for anything else."""
+    if isinstance(exc, EmptyWindowError):
+        field = window
+    elif isinstance(exc, InvalidScheduleError):
+        field = "schedule"
+    elif isinstance(exc, ParameterError):
+        field = exc.name
+    else:
+        field = fallback
+    return ConfigError(field, str(exc))
+
+
 def _bayes_config(cfg: dict) -> BayesConfig:
     # each BayesConfig check concerns one field, so validating the fields one
     # at a time names the offending one
@@ -213,11 +246,16 @@ def _cmd_simulate(cfg: dict, out: _OutputDir, seed: int) -> int:
     delay = parse_distribution(cfg.get("delay"), "delay")
     if "n" not in cfg:
         raise ConfigError("n", "missing required field")
-    n = int(cfg["n"])
-    lag = float(cfg.get("lag", 0.0))
+    n = _scalar(cfg, "n", int)
+    lag = _scalar(cfg, "lag", float, 0.0)
     schedule = parse_schedule(cfg.get("schedule"))
     window = _window_from(cfg, "window", Window.all())
-    traj = run_fixed_lag(service, delay, lag, n, schedule, seed)
+    f = parse_reward(cfg["reward"]) if cfg.get("reward") is not None else None
+    try:
+        traj = run_fixed_lag(service, delay, lag, n, schedule, seed)
+        estimate = estimate_reward(traj, f, window) if f is not None else None
+    except ValueError as exc:
+        raise _run_error(exc, "window", "lag") from exc
     traj.to_csv(out.target("trajectory.csv"))
     summary = {
         "n": n,
@@ -226,9 +264,8 @@ def _cmd_simulate(cfg: dict, out: _OutputDir, seed: int) -> int:
         "mean_wait": fmt_float(float(traj.wait.mean())),
         "mean_iat": fmt_float(float(traj.iat[1:].mean())),
     }
-    if cfg.get("reward") is not None:
-        f = parse_reward(cfg["reward"])
-        summary["reward_estimate"] = fmt_float(estimate_reward(traj, f, window))
+    if estimate is not None:
+        summary["reward_estimate"] = fmt_float(estimate)
     out.write_json("summary.json", summary)
     return EXIT_OK
 
@@ -237,22 +274,25 @@ def _cmd_grid_search(cfg: dict, out: _OutputDir, seed: int) -> int:
     service = parse_distribution(cfg.get("service"), "service")
     delay = parse_distribution(cfg.get("delay"), "delay")
     f = parse_reward(cfg.get("reward"), "reward")
+    schedule = parse_schedule(cfg.get("schedule"))
     try:
         result = optimize(
             service,
             delay,
             f,
-            lag_min=float(cfg.get("lag_min", 0.0)),
-            lag_max=float(cfg["lag_max"]) if "lag_max" in cfg else None,
-            step=float(cfg["step"]) if "step" in cfg else None,
-            n=int(cfg.get("n", 100_000)),
+            lag_min=_scalar(cfg, "lag_min", float, 0.0),
+            lag_max=_scalar(cfg, "lag_max", float),
+            step=_scalar(cfg, "step", float),
+            n=_scalar(cfg, "n", int, 100_000),
             seed=seed,
             objective=str(cfg.get("objective", "simulated")),
-            schedule=parse_schedule(cfg.get("schedule")),
-            burn_in=int(cfg.get("burn_in", 1000)),
+            schedule=schedule,
+            burn_in=_scalar(cfg, "burn_in", int, 1000),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError("objective", str(exc)) from exc
+        raise _run_error(exc, "burn_in", "objective") from exc
     result.to_csv(out.target("grid.csv"))
     out.write_json(
         "summary.json",
@@ -273,7 +313,7 @@ def _cmd_bayes(cfg: dict, out: _OutputDir, seed: int) -> int:
     f = parse_reward(cfg.get("reward"), "reward")
     if "n" not in cfg:
         raise ConfigError("n", "missing required field")
-    n = int(cfg["n"])
+    n = _scalar(cfg, "n", int)
     reporting = _window_from(cfg, "reporting", Window.last_k(5000))
     schedule = parse_schedule(cfg.get("schedule"))
     bayes_cfg = _bayes_config(cfg)
@@ -282,7 +322,7 @@ def _cmd_bayes(cfg: dict, out: _OutputDir, seed: int) -> int:
             service, delay, schedule, f, n=n, cfg=bayes_cfg, seed=seed, reporting=reporting
         )
     except ValueError as exc:
-        raise ConfigError("n", str(exc)) from exc
+        raise _run_error(exc, "reporting", "n") from exc
     adaptive_log_to_csv(result, f, out.target("bayes_log.csv"))
     if bayes_cfg.rule == "gamma":
         post = result.posterior
@@ -388,26 +428,28 @@ def _cmd_mean_shift(cfg: dict, out: _OutputDir, seed: int) -> int:
     for key in ("kind", "schedule", "n"):
         if key not in cfg:
             raise ConfigError(key, "missing required field")
+    service = parse_distribution(cfg.get("service"), "service")
+    delay = parse_distribution(cfg.get("delay"), "delay")
+    reward = parse_reward(cfg.get("reward"), "reward")
+    schedule = parse_schedule(cfg["schedule"], "schedule")
+    n = _scalar(cfg, "n", int)
+    width = _scalar(cfg, "width", int, 2000)
+    bayes_cfg = _bayes_config(cfg)
     try:
         base = ExperimentSpec(
             id="mean-shift",
-            service=parse_distribution(cfg.get("service"), "service"),
-            delay=parse_distribution(cfg.get("delay"), "delay"),
-            reward=parse_reward(cfg.get("reward"), "reward"),
+            service=service,
+            delay=delay,
+            reward=reward,
             methods=frozenset({"bayes"}),
-            schedule=parse_schedule(cfg["schedule"], "schedule"),
-            n=int(cfg["n"]),
+            schedule=schedule,
+            n=n,
             seeds=(seed,),
-            reporting=Window.sliding(int(cfg.get("width", 2000))),
+            reporting=Window.sliding(width),
         )
-        result = mean_shift_run(
-            str(cfg["kind"]), base, width=int(cfg.get("width", 2000)),
-            cfg=_bayes_config(cfg),
-        )
-    except ConfigError:
-        raise
+        result = mean_shift_run(str(cfg["kind"]), base, width=width, cfg=bayes_cfg)
     except ValueError as exc:
-        raise ConfigError("kind", str(exc)) from exc
+        raise _run_error(exc, "width", "kind") from exc
     result.to_csv(out.target("meanshift.csv"))
     return EXIT_OK
 

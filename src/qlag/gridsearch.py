@@ -1,8 +1,10 @@
 """Grid-sweep benchmark optimizer over the calling lag.
 
-The simulated objective reuses one set of service/delay draws across all
-grid points (common random numbers), so neighboring lags are compared with
-far less noise than independent runs would allow.
+The simulated objective draws the service and delay streams once and sweeps
+every grid lag over them (``simulator.sweep_lags``): neighboring lags are
+compared on common random numbers, with far less noise than independent
+runs would allow, and the draws are paid for once per sweep instead of once
+per grid point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .analytics import (
 from .distributions import DistributionSpec
 from .parallel import ordered_map
 from .reward import ExponentialReward
-from .simulator import DEFAULT_BURN_IN, ParamSchedule, Window, estimate_reward_se, run_fixed_lag
+from .simulator import DEFAULT_BURN_IN, ParameterError, ParamSchedule, sweep_lags
 
 __all__ = ["GridPoint", "GridResult", "optimize", "build_lag_grid", "OBJECTIVES"]
 
@@ -59,12 +61,14 @@ class GridResult:
 
 
 def build_lag_grid(lag_min: float, lag_max: float, step: float) -> np.ndarray:
-    if lag_min < 0:
-        raise ValueError(f"lag_min must be nonnegative, got {lag_min}")
-    if not lag_max > lag_min:
-        raise ValueError(f"need lag_min < lag_max, got [{lag_min}, {lag_max}]")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 <= lag_min < math.inf:
+        raise ParameterError("lag_min", f"lag_min must be finite and nonnegative, got {lag_min}")
+    if not lag_min < lag_max < math.inf:
+        raise ParameterError(
+            "lag_max", f"need a finite lag_max above lag_min, got [{lag_min}, {lag_max}]"
+        )
+    if not 0 < step < math.inf:
+        raise ParameterError("step", f"step must be finite and positive, got {step}")
     count = int(math.floor((lag_max - lag_min) / step + 1e-9)) + 1
     return lag_min + step * np.arange(count)
 
@@ -92,46 +96,41 @@ def optimize(
 ) -> GridResult:
     """Sweep the lag grid and return the best lag and reward.
 
-    Objectives: "simulated" estimates the reward from a fresh fixed-lag run
-    per grid point (common random numbers across points, burn-in excluded);
-    "exact" and "surrogate" evaluate the analytic quantities. Ties break
-    toward the smallest lag.
+    Objectives: "simulated" estimates the reward and its batch-means
+    standard error at every grid lag from one n-job draw of the service and
+    delay streams, shared by all lags (common random numbers), over the jobs
+    after the burn-in; "exact" and "surrogate" evaluate the analytic
+    quantities. Ties break toward the smallest lag.
     """
     if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        raise ParameterError(
+            "objective", f"objective must be one of {OBJECTIVES}, got {objective!r}"
+        )
     if lag_max is None:
         lag_max = 3.0 * service.mean
     if step is None:
         step = (lag_max - lag_min) / 60.0
-    grid = build_lag_grid(lag_min, lag_max, step)
+    lags = [float(lag) for lag in build_lag_grid(lag_min, lag_max, step)]
 
     if objective == "simulated":
         if n < 10_000:
-            raise ValueError("the simulated objective needs at least 1e4 jobs per point")
-        if burn_in >= n:
-            raise ValueError(f"burn-in of {burn_in} leaves no jobs out of {n}")
-        window = Window.last_k(n - burn_in)
-
-        def eval_point(lag: float) -> GridPoint:
-            traj = run_fixed_lag(service, delay, float(lag), n, schedule, seed)
-            value, se = estimate_reward_se(traj, f, window)
-            return GridPoint(float(lag), value, se)
-
+            raise ParameterError("n", "the simulated objective needs at least 1e4 jobs per point")
+        estimates = sweep_lags(
+            service, delay, lags, f, n, schedule=schedule, seed=seed, burn_in=burn_in
+        )
+        points = tuple(GridPoint(lag, value, se) for lag, (value, se) in zip(lags, estimates))
     elif objective == "exact":
-
-        def eval_point(lag: float) -> GridPoint:
-            return GridPoint(float(lag), _exact_reward(service, delay, f, float(lag)), 0.0)
-
+        points = tuple(ordered_map(
+            lambda lag: GridPoint(lag, _exact_reward(service, delay, f, lag), 0.0), lags
+        ))
     else:
         if not isinstance(f, ExponentialReward):
             raise ValueError("the surrogate objective is defined for exponential rewards")
+        points = tuple(ordered_map(
+            lambda lag: GridPoint(lag, surrogate_reward(service, delay, f.kappa, lag), 0.0),
+            lags,
+        ))
 
-        def eval_point(lag: float) -> GridPoint:
-            return GridPoint(
-                float(lag), surrogate_reward(service, delay, f.kappa, float(lag)), 0.0
-            )
-
-    points = tuple(ordered_map(eval_point, list(grid)))
     rewards = np.array([p.reward for p in points])
     best = int(np.argmax(rewards))  # first maximum = smallest lag on ties
     return GridResult(points, points[best].lag, points[best].reward, objective)

@@ -35,6 +35,7 @@ from .reward import ExponentialReward, RewardSpec
 from .simulator import (
     AbruptPiecewise,
     GradualLinear,
+    ParameterError,
     ParamSchedule,
     Stationary,
     Window,
@@ -77,7 +78,7 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if self.n < 2:
-            raise ValueError("experiments need at least 2 jobs")
+            raise ParameterError("n", "experiments need at least 2 jobs")
         if not self.seeds:
             raise ValueError("experiments need at least one seed")
         if "surrogate" in self.methods:

@@ -9,8 +9,9 @@ lags for free (the sampled service/delay streams never depend on the lag).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,9 +29,11 @@ __all__ = [
     "ParamSchedule",
     "InvalidScheduleError",
     "EmptyWindowError",
+    "ParameterError",
     "Window",
     "Trajectory",
     "run_fixed_lag",
+    "sweep_lags",
     "assemble_trajectory",
     "schedule_means",
     "sample_jobs",
@@ -53,6 +56,14 @@ class InvalidScheduleError(ValueError):
 
 class EmptyWindowError(ValueError):
     """Requested estimation window selects no jobs or does not fit."""
+
+
+class ParameterError(ValueError):
+    """An argument value a routine cannot use; ``name`` is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
 
 
 def state_from_wait(wait: float) -> str:
@@ -286,6 +297,21 @@ def assemble_trajectory(
     return Trajectory(service_draws, delay_draws, wait, iat, lags, seed, description)
 
 
+def _draw(service, delay, n, schedule, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The service and delay draws of an n-job run; they never depend on the lag."""
+    if n < 2:
+        raise ParameterError("n", f"need at least 2 jobs, got {n}")
+    ts_means, td_means = schedule_means(schedule, n)
+    s = sample_jobs(service, substream(seed, "service"), n, ts_means)
+    d = sample_jobs(delay, substream(seed, "delay"), n, td_means)
+    return s, d
+
+
+def _check_lag(lag: float) -> None:
+    if not 0 <= lag < math.inf:
+        raise ParameterError("lag", f"lag must be finite and nonnegative, got {lag}")
+
+
 def run_fixed_lag(
     service: DistributionSpec,
     delay: DistributionSpec,
@@ -300,15 +326,55 @@ def run_fixed_lag(
     sampled service/delay streams do not depend on the lag, so runs at
     different lags with one seed share common random numbers.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 jobs, got {n}")
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
-    ts_means, td_means = schedule_means(schedule, n)
-    s = sample_jobs(service, substream(seed, "service"), n, ts_means)
-    d = sample_jobs(delay, substream(seed, "delay"), n, td_means)
+    _check_lag(lag)
+    s, d = _draw(service, delay, n, schedule, seed)
     lags = np.full(n, float(lag))
     return assemble_trajectory(s, d, lags, seed, f"fixed lag {lag:g}")
+
+
+def sweep_lags(
+    service: DistributionSpec,
+    delay: DistributionSpec,
+    lags: Sequence[float],
+    f,
+    n: int,
+    *,
+    schedule: Optional[ParamSchedule] = None,
+    seed: int = 0,
+    burn_in: int = DEFAULT_BURN_IN,
+) -> list[tuple[float, float]]:
+    """Reward estimate and batch-means standard error at each fixed lag.
+
+    Entry i equals ``estimate_reward_se(run_fixed_lag(service, delay,
+    lags[i], n, schedule, seed), f, Window.last_k(n - burn_in))`` bit for
+    bit: the service and delay streams are drawn once and shared by every
+    lag (common random numbers), and each lag computes only the jobs after
+    the burn-in, plus the one before them, with the arithmetic of
+    ``assemble_trajectory``. Lags are swept one at a time, so memory stays
+    a few n-job arrays whatever the number of lags.
+    """
+    for lag in lags:
+        _check_lag(lag)
+    if not 0 <= burn_in < n:
+        raise ParameterError(
+            "burn_in", f"burn_in must lie in [0, n), got {burn_in} with n = {n}"
+        )
+    s, d = _draw(service, delay, n, schedule, seed)
+    first = max(burn_in, 1)  # first window job that has a predecessor
+    # previous service time of jobs first-1..n-1; job 0 finds an empty system,
+    # and -inf makes its wait max(-inf, 0) = 0
+    s_prev = s[first - 2:n - 1] if first >= 2 else np.concatenate(([-np.inf], s[:-1]))
+    d_tail = d[first - 1:]
+    out = []
+    for lag in lags:
+        wait = np.maximum((s_prev - lag) - d_tail, 0.0)  # jobs first-1..n-1
+        iat = wait[:-1] + lag
+        iat += d[first:]  # (W_{j-1} + lag) + D_j for jobs first..n-1
+        if burn_in == 0:  # job 0 has no inter-arrival time
+            iat = np.concatenate(([0.0], iat))
+        f_vals = np.asarray(f.eval(wait[burn_in - first + 1:] + s[burn_in:]), dtype=float)
+        out.append(_ratio_se(f_vals, iat))
+    return out
 
 
 def _select(traj: Trajectory, window: Window) -> slice:
@@ -358,7 +424,11 @@ def estimate_reward_se(
         raise ValueError("standard errors are defined for all/last_k windows only")
     sel = _select(traj, window)
     f_vals = np.asarray(f.eval(traj.sojourn[sel]), dtype=float)
-    iats = traj.iat[sel]
+    return _ratio_se(f_vals, traj.iat[sel], batches)
+
+
+def _ratio_se(f_vals: np.ndarray, iats: np.ndarray, batches: int = 32) -> tuple[float, float]:
+    """sum f / sum IAT, plus the spread of the ratio over contiguous batches."""
     estimate = float(np.sum(f_vals)) / float(np.sum(iats))
     b = min(batches, len(f_vals))
     ratios = np.array(

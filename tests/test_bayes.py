@@ -1,5 +1,7 @@
 """Conjugate posterior updates and the adaptive lag loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BayesConfig(eps_idle=-1.0)
     assert BayesConfig().rule == "gradient"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha0", "beta0", "eps_idle", "eps_busy"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        BayesConfig(**{field: value})
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_posterior_rejects_non_finite(alpha, beta):
+    with pytest.raises(ValueError):
+        PosteriorState(alpha, beta)

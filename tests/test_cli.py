@@ -173,6 +173,62 @@ def test_learner_config_errors_name_their_field(tmp_path, capsys, command, base,
     assert record["error"].startswith(f"{key}: ")
 
 
+def test_non_finite_learner_field_exits_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0},
+                                  "n": 2000, "rule": "gamma"})
+    out = tmp_path / "out"
+    assert run(["bayes", "--config", cfg, "--out", str(out),
+                "--set", "alpha0=NaN"]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == "alpha0"
+    assert not (out / "summary.json").exists()
+
+
+_GRID = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 20_000}
+
+
+@pytest.mark.parametrize("override, field", [
+    ("burn_in=-5", "burn_in"),
+    ("burn_in=20000", "burn_in"),
+    ("lag_min=NaN", "lag_min"),
+    ("lag_max=Infinity", "lag_max"),
+    ("lag_max=-1", "lag_max"),
+    ("step=NaN", "step"),
+    ("step=0", "step"),
+    ("n=500", "n"),
+    ('n="many"', "n"),
+    ('objective="golden"', "objective"),
+])
+def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, _GRID)
+    assert run(["grid-search", "--config", cfg, "--out", str(tmp_path / "out"),
+                "--set", override]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+
+
+_BAYES = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 2000}
+
+
+@pytest.mark.parametrize("command, base, override, field", [
+    ("bayes", _BAYES, 'reporting={"kind": "last_k", "k": 5000}', "reporting"),
+    ("bayes", _BAYES, "n=1", "n"),
+    ("mean-shift", _MEAN_SHIFT, "width=5000", "width"),
+    ("mean-shift", _MEAN_SHIFT, "width=0", "width"),
+    ("mean-shift", _MEAN_SHIFT, "n=1", "n"),
+    ("mean-shift", _MEAN_SHIFT, "n=3000", "schedule"),
+    ("mean-shift", _MEAN_SHIFT, 'kind="gradual"', "kind"),
+    ("simulate", {**_BAYES, "n": 50}, "lag=NaN", "lag"),
+    ("simulate", {**_BAYES, "n": 50}, 'window={"kind": "last_k", "k": 500}', "window"),
+])
+def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
+    cfg = write_config(tmp_path, base)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                "--set", override]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+
+
 def test_region_scan_command(tmp_path):
     cfg = write_config(tmp_path, {
         "service_family": "exponential",

@@ -21,11 +21,14 @@ from qlag import (
     Window,
     estimate_reward,
     estimate_reward_se,
+    default_cases,
+    optimize,
     run_fixed_lag,
     server_state_at_arrival,
     state_from_wait,
 )
-from qlag.simulator import sample_jobs, schedule_means
+from qlag import simulator
+from qlag.simulator import ParameterError, sample_jobs, schedule_means, sweep_lags
 from qlag.streams import substream
 
 F1 = ExponentialReward(1.0)
@@ -170,6 +173,73 @@ def test_run_validation():
         run_fixed_lag(Exponential(1.0), Exponential(0.33), 0.0, 1, seed=0)
     with pytest.raises(ValueError):
         run_fixed_lag(Exponential(1.0), Exponential(0.33), -0.5, 10, seed=0)
+
+
+@pytest.mark.parametrize("lag", [math.nan, math.inf])
+def test_run_rejects_non_finite_lag(lag):
+    with pytest.raises(ParameterError) as info:
+        run_fixed_lag(Exponential(1.0), Exponential(0.33), lag, 10, seed=0)
+    assert info.value.name == "lag"
+
+
+class TestSweepLags:
+    """The sweep kernel against per-lag runs; both use the same arithmetic,
+    so every estimate and standard error must agree bit for bit."""
+
+    @staticmethod
+    def reference(service, delay, lags, f, n, schedule=None, seed=0, burn_in=1000):
+        window = Window.last_k(n - burn_in)
+        return [
+            estimate_reward_se(run_fixed_lag(service, delay, lag, n, schedule, seed), f, window)
+            for lag in lags
+        ]
+
+    @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.id)
+    def test_default_cases_equal_per_lag_runs(self, case):
+        lags = [float(x) for x in np.linspace(0.0, 3.0 * case.service.mean, 7)]
+        args = (case.service, case.delay, lags, case.reward, 20_000)
+        assert sweep_lags(*args, seed=4) == self.reference(*args, seed=4)
+
+    def test_gradual_schedule_equals_per_lag_runs(self):
+        sched = GradualLinear(1.0, 0.5, 0.33, 0.1667, 15_000)
+        args = (Uniform(0.0, 2.0), Exponential(0.33), [0.0, 0.3, 1.1], F1, 20_000)
+        assert (sweep_lags(*args, schedule=sched, seed=6)
+                == self.reference(*args, schedule=sched, seed=6))
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 2])
+    def test_window_start_edges_equal_per_lag_runs(self, burn_in):
+        args = (Exponential(1.0), Exponential(0.33), [0.0, 0.25, 2.0], F1, 5_000)
+        assert (sweep_lags(*args, seed=2, burn_in=burn_in)
+                == self.reference(*args, seed=2, burn_in=burn_in))
+
+    @pytest.mark.parametrize("step", [1.5, 0.05])
+    def test_optimize_draws_each_stream_once(self, monkeypatch, step):
+        calls = []
+        real = simulator.sample_jobs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "sample_jobs", counting)
+        result = optimize(Exponential(1.0), Exponential(0.33), F1, objective="simulated",
+                          lag_max=3.0, step=step, n=10_000, seed=1)
+        assert len(result.points) > 1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(lags=[0.0, math.nan]), "lag"),
+        (dict(lags=[-0.1]), "lag"),
+        (dict(burn_in=-1), "burn_in"),
+        (dict(burn_in=100), "burn_in"),
+        (dict(n=1, burn_in=0), "n"),
+    ])
+    def test_validation_names_the_parameter(self, kwargs, name):
+        args = {"lags": [0.0], "n": 100, "burn_in": 10, **kwargs}
+        with pytest.raises(ParameterError) as info:
+            sweep_lags(Exponential(1.0), Exponential(0.33), args["lags"], F1, args["n"],
+                       burn_in=args["burn_in"])
+        assert info.value.name == name
 
 
 class TestSchedules:
