@@ -25,10 +25,11 @@ from .distributions import (
     DistributionSpec,
     Exponential,
     Uniform,
+    monte_carlo_draws,
     prob_diff_exceeds,
 )
 from .reward import ExponentialReward
-from .streams import substream
+from .simulator import ParameterError
 
 __all__ = [
     "ClosedForm",
@@ -113,21 +114,18 @@ def _upper_partial_expectation(spec: DistributionSpec, y: float, tol: float) -> 
     return head + val
 
 
-def _quad_over(delay: DistributionSpec, fn, tol: float, breaks=()) -> float:
-    """Integrate fn(t) * pdf_D(t) over the delay support."""
-    lo, hi = delay.support()
-    hi = min(hi, delay.upper_quantile())
-    points = sorted({b for b in breaks if lo < b < hi and math.isfinite(b)})
-    val, _ = integrate.quad(
-        lambda t: fn(t) * float(delay.pdf(t)),
-        lo,
-        hi,
-        points=points or None,
-        epsabs=tol,
-        epsrel=tol,
-        limit=300,
-    )
-    return val
+def _check_kappa(kappa: float) -> None:
+    if not 0 < kappa < math.inf:
+        raise ParameterError("kappa", f"kappa must be finite and positive, got {kappa}")
+
+
+def _closed_form_or_numeric(fn, *args, tol: float = 1e-9) -> float:
+    """fn(*args, ClosedForm()), or fn(*args, NumericIntegration(tol)) where
+    fn has no closed form for the arguments."""
+    try:
+        return fn(*args, ClosedForm())
+    except ClosedFormUnavailableError:
+        return fn(*args, NumericIntegration(tol))
 
 
 def expected_wait(
@@ -151,11 +149,8 @@ def expected_wait(
     if isinstance(method, MonteCarlo):
         return monte_carlo_wait(service, delay, lag, method.n, method.seed)[0]
     tol = method.tol
-    if isinstance(delay, Deterministic):
-        return _upper_partial_expectation(service, lag + delay.value, tol)
     s_lo, s_hi = service.support()
-    return _quad_over(
-        delay,
+    return delay.expect(
         lambda t: _upper_partial_expectation(service, lag + t, tol),
         tol,
         breaks=(s_lo - lag, s_hi - lag),
@@ -170,18 +165,12 @@ def monte_carlo_wait(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte-Carlo (E[W] estimate, standard error)."""
-    rng_s = substream(seed, "mc-wait-service")
-    rng_d = substream(seed, "mc-wait-delay")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk = 2_000_000
-    while done < n:
-        m = min(chunk, n - done)
-        w = np.maximum(service.sample(rng_s, m) - delay.sample(rng_d, m) - lag, 0.0)
+    for s, d in monte_carlo_draws(seed, {"mc-wait-service": service, "mc-wait-delay": delay}, n):
+        w = np.maximum(s - d - lag, 0.0)
         total += float(w.sum())
         total_sq += float(np.square(w).sum())
-        done += m
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
@@ -282,27 +271,19 @@ def _reward_numerator_numeric(service, delay, f, lag, tol):
     if isinstance(f, ExponentialReward):
         kappa = f.kappa
         p_bar = prob_diff_exceeds(service, delay, lag)
-        if isinstance(delay, Deterministic):
-            tail = _tail_kernel_exp(service, kappa, lag + delay.value, tol)
-        else:
-            s_lo, s_hi = service.support()
-            tail = _quad_over(
-                delay,
-                lambda t: _tail_kernel_exp(service, kappa, lag + t, tol),
-                tol,
-                breaks=(s_lo - lag, s_hi - lag),
-            )
+        s_lo, s_hi = service.support()
+        tail = delay.expect(
+            lambda t: _tail_kernel_exp(service, kappa, lag + t, tol),
+            tol,
+            breaks=(s_lo - lag, s_hi - lag),
+        )
         mw = (1.0 - p_bar) + tail
         return service.mgf(-kappa) * mw
 
     h = _reward_after_wait(service, f, tol)
     if isinstance(service, Deterministic):
         s0 = service.value
-        if isinstance(delay, Deterministic):
-            w = max(s0 - lag - delay.value, 0.0)
-            return float(f.eval(w + s0))
-        return _quad_over(
-            delay,
+        return delay.expect(
             lambda t: float(f.eval(max(s0 - lag - t, 0.0) + s0)),
             tol,
             breaks=(s0 - lag,),
@@ -325,15 +306,11 @@ def _reward_numerator_numeric(service, delay, f, lag, tol):
         )
         return val
 
-    if isinstance(delay, Deterministic):
-        tail = tail_inner(lag + delay.value)
-    else:
-        tail = _quad_over(
-            delay,
-            lambda t: tail_inner(lag + t),
-            tol,
-            breaks=(s_lo - lag, s_hi - lag),
-        )
+    tail = delay.expect(
+        lambda t: tail_inner(lag + t),
+        tol,
+        breaks=(s_lo - lag, s_hi - lag),
+    )
     return (1.0 - p_bar) * h(0.0) + tail
 
 
@@ -389,33 +366,23 @@ def monte_carlo_reward(
     seed: int = 0,
 ) -> RewardEstimate:
     """Monte-Carlo estimate of the exact reward with a batch-means error bar."""
-    rng_prev = substream(seed, "mc-reward-prev-service")
-    rng_d = substream(seed, "mc-reward-delay")
-    rng_s = substream(seed, "mc-reward-service")
     batches = min(100, max(2, n // 100))
-    sizes = [n // batches + (1 if i < n % batches else 0) for i in range(batches)]
     f_sums = np.empty(batches)
     w_sums = np.empty(batches)
-    counts = np.array(sizes, dtype=float)
-    for i, m in enumerate(sizes):
-        s_prev = service.sample(rng_prev, m)
-        d = delay.sample(rng_d, m)
-        s = service.sample(rng_s, m)
+    counts = np.empty(batches)
+    laws = {
+        "mc-reward-prev-service": service, "mc-reward-delay": delay, "mc-reward-service": service,
+    }
+    for i, (s_prev, d, s) in enumerate(monte_carlo_draws(seed, laws, n, batches)):
         w = np.maximum(s_prev - lag - d, 0.0)
         f_sums[i] = float(np.sum(f.eval(w + s)))
         w_sums[i] = float(w.sum())
+        counts[i] = len(s)
     ed = delay.mean
     value = f_sums.sum() / n / (lag + ed + w_sums.sum() / n)
     per_batch = (f_sums / counts) / (lag + ed + w_sums / counts)
     se = float(np.std(per_batch, ddof=1) / math.sqrt(batches))
     return RewardEstimate(value, se)
-
-
-def _best_expected_wait(service, delay, lag, tol):
-    try:
-        return expected_wait(service, delay, lag, ClosedForm())
-    except ClosedFormUnavailableError:
-        return expected_wait(service, delay, lag, NumericIntegration(tol))
 
 
 def surrogate_reward(
@@ -433,13 +400,12 @@ def surrogate_reward(
 
     Raises DivergentMGFError when the delay's MGF at kappa does not exist.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
     ms = service.mgf(-kappa)
     md = delay.mgf(kappa)
-    ew = _best_expected_wait(service, delay, lag, tol)
+    ew = _closed_form_or_numeric(expected_wait, service, delay, lag, tol=tol)
     numer = ms * min(ms * math.exp(kappa * lag) * md, 1.0)
     return numer / (lag + delay.mean + ew)
 
@@ -450,8 +416,7 @@ def delta_star(service: DistributionSpec, delay: DistributionSpec, kappa: float)
     Zero when the product already reaches 1 at zero lag (including exactly
     at the boundary, taking the continuous limit).
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     product = service.mgf(-kappa) * delay.mgf(kappa)
     if product >= 1.0:
         return 0.0

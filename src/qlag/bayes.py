@@ -45,14 +45,12 @@ from .simulator import (
     STATE_BUSY,
     STATE_IDLE,
     EmptyWindowError,
-    ParameterError,
     ParamSchedule,
     Trajectory,
     Window,
+    _draw,
     assemble_trajectory,
     estimate_reward,
-    sample_jobs,
-    schedule_means,
     state_from_wait,
 )
 from .streams import substream
@@ -267,17 +265,12 @@ def run_adaptive(
     job is called with is the lag recorded in ``lags`` and applied to the
     trajectory. Deterministic for a fixed seed.
     """
-    if n < 2:
-        raise ParameterError("n", f"need at least 2 jobs, got {n}")
-    if reporting.kind == "all":
-        pass
-    elif reporting.size > n:
+    # n < 2 is _draw's ParameterError, raised ahead of a window that does not fit
+    if reporting.kind != "all" and reporting.size > n >= 2:
         raise EmptyWindowError(
             f"reporting window of {reporting.size} jobs exceeds the {n}-job run"
         )
-    ts_means, td_means = schedule_means(schedule, n)
-    s = sample_jobs(service, substream(seed, "service"), n, ts_means)
-    d = sample_jobs(delay, substream(seed, "delay"), n, td_means)
+    s, d = _draw(service, delay, n, schedule, seed)
 
     if cfg.rule == "gamma":
         lags, alphas, betas, post = _gamma_lags(s, d, cfg, substream(seed, "posterior"))
@@ -306,25 +299,19 @@ def adaptive_log_to_csv(result: AdaptiveResult, f, path) -> None:
     traj = result.trajectory
     n = len(traj)
     width = result.reporting.size if result.reporting.kind != "all" else n
-    f_cum = np.concatenate(([0.0], np.cumsum(f.eval(traj.sojourn))))
-    a_cum = np.concatenate(([0.0], np.cumsum(traj.iat)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        windowed = estimate_reward(traj, f, Window.sliding(width))
 
     def rows():
         for j in range(n):
-            end = j + 1
-            if end >= width:
-                num = f_cum[end] - f_cum[end - width]
-                den = a_cum[end] - a_cum[end - width]
-                window_val = fmt_float(num / den) if den > 0 else ""
-            else:
-                window_val = ""
+            ratio = windowed[j + 1 - width] if j + 1 >= width else math.nan
             yield [
                 str(j + 1),
                 fmt_float(result.lags[j]),
                 fmt_float(result.alphas[j]),
                 fmt_float(result.betas[j]),
                 STATE_BUSY if traj.busy[j] else STATE_IDLE,
-                window_val,
+                fmt_float(ratio) if math.isfinite(ratio) else "",
             ]
 
     write_csv(path, ["index", "lag_drawn", "alpha", "beta", "state", "reward_window"], rows())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -99,8 +100,8 @@ COMMAND_CONFIG_KEYS: dict[str, dict[str, str]] = {
         "checks": "subset of [general, exponential, polynomial, surrogate]",
     },
     "region-scan": {
-        "service_family": "exponential | uniform",
-        "delay_family": "exponential | uniform",
+        "service_family": "exponential | uniform | truncnorm",
+        "delay_family": "exponential | uniform | truncnorm",
         "kappa": "exponential reward rate",
         "mode": "thm2_cond1 | cor1 (default thm2_cond1)",
         "ts": "service-mean grid: {min, max, count} or explicit list",
@@ -391,35 +392,48 @@ def _cmd_check_conditions(cfg: dict, out: _OutputDir, seed: int) -> int:
 
 
 def _grid_values(cfg: dict, key: str) -> list[float]:
+    """The mean grid under key: positive means whose family laws, which span
+    [0, 2 * mean], stay finite."""
     raw = cfg.get(key)
-    if isinstance(raw, list) and raw:
-        return [float(v) for v in raw]
-    if isinstance(raw, dict):
-        for sub in ("min", "max", "count"):
-            if sub not in raw:
-                raise ConfigError(f"{key}.{sub}", "missing required field")
-        count = int(raw["count"])
-        if count < 2:
-            raise ConfigError(f"{key}.count", "need at least 2 grid values")
-        lo, hi = float(raw["min"]), float(raw["max"])
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    raise ConfigError(key, "expected a list of values or {min, max, count}")
+    try:
+        if isinstance(raw, list) and raw:
+            values = [float(v) for v in raw]
+        elif isinstance(raw, dict):
+            for sub in ("min", "max", "count"):
+                if sub not in raw:
+                    raise ConfigError(f"{key}.{sub}", "missing required field")
+            count = int(raw["count"])
+            if count < 2:
+                raise ConfigError(f"{key}.count", "need at least 2 grid values")
+            lo, hi = float(raw["min"]), float(raw["max"])
+            values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+        else:
+            raise ConfigError(key, "expected a list of values or {min, max, count}")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+    if not all(0 < 2.0 * v < math.inf for v in values):
+        raise ConfigError(key, f"grid means must be finite and positive, got {values}")
+    return values
 
 
 def _cmd_region_scan(cfg: dict, out: _OutputDir, seed: int) -> int:
     for key in ("service_family", "delay_family", "kappa"):
         if key not in cfg:
             raise ConfigError(key, "missing required field")
+    ts, td = _grid_values(cfg, "ts"), _grid_values(cfg, "td")
+    kappa = _scalar(cfg, "kappa", float)
     try:
         scan = region_scan(
-            _grid_values(cfg, "ts"),
-            _grid_values(cfg, "td"),
-            float(cfg["kappa"]),
+            ts,
+            td,
+            kappa,
             mode=str(cfg.get("mode", "thm2_cond1")),
             families=(str(cfg["service_family"]), str(cfg["delay_family"])),
         )
-    except ValueError as exc:
-        raise ConfigError("mode", str(exc)) from exc
+    except ParameterError as exc:
+        raise ConfigError(exc.name, str(exc)) from exc
     scan.to_csv(out.target("region.csv"))
     return EXIT_OK
 

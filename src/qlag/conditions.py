@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
+    FAMILIES,
     Deterministic,
     DistributionSpec,
     DivergentMGFError,
-    Exponential,
-    Uniform,
+    law_for_family,
     prob_diff_exceeds,
 )
 from ._fmt import fmt_float, write_csv
-from .analytics import expected_wait, NumericIntegration, ClosedForm, ClosedFormUnavailableError
-from .parallel import ordered_map
+from .analytics import _check_kappa, _closed_form_or_numeric, expected_wait
+from .simulator import ParameterError
 
 __all__ = [
     "VERDICT_HOLDS",
@@ -46,8 +45,6 @@ __all__ = [
 VERDICT_HOLDS = "holds"
 VERDICT_FAILS = "fails"
 VERDICT_INDETERMINATE = "indeterminate"
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,28 +76,9 @@ class AssumptionReport:
     worst_pair: Optional[tuple[float, float]]
 
 
-def _expect(spec: DistributionSpec, g) -> float:
-    """E[g(X)] by adaptive quadrature (exact for a point mass)."""
-    if isinstance(spec, Deterministic):
-        return float(g(spec.value))
-    lo, hi = spec.support()
-    hi = min(hi, spec.upper_quantile())
-    val, _ = integrate.quad(
-        lambda x: float(g(x)) * float(spec.pdf(x)),
-        lo,
-        hi,
-        epsabs=_EPS,
-        epsrel=_EPS,
-        limit=300,
-    )
-    return val
-
-
 def _expect_sum_two(spec: DistributionSpec, g) -> float:
     """E[g(X + X')] over two independent copies of the law."""
-    if isinstance(spec, Deterministic):
-        return float(g(2.0 * spec.value))
-    return _expect(spec, lambda x: _expect(spec, lambda y: g(x + y)))
+    return spec.expect(lambda x: spec.expect(lambda y: g(x + y)))
 
 
 def _rhs_from_tail(p: float) -> float:
@@ -162,6 +140,27 @@ def _assumption_flag(service, delay, check_assumption: bool) -> tuple[bool, str]
     )
 
 
+def _zero_lag_report(
+    condition_id: str, service, delay, check_assumption: bool, lhs_of
+) -> ConditionReport:
+    """Report lhs_of(E[D + S + 1]) <= 1/sqrt(p) - sqrt(p), p = P(S_prev - D > 0).
+
+    A failing moment evaluation in lhs_of makes the verdict indeterminate.
+    """
+    p = prob_diff_exceeds(service, delay, 0.0)
+    mean_term = delay.mean + service.mean + 1.0
+    assumption_ok, note = _assumption_flag(service, delay, check_assumption)
+    try:
+        lhs = lhs_of(mean_term)
+    except Exception as exc:
+        return ConditionReport(
+            condition_id, math.nan, math.nan, VERDICT_INDETERMINATE,
+            assumption_ok, f"moment evaluation failed: {exc}",
+        )
+    rhs = _rhs_from_tail(p)
+    return ConditionReport(condition_id, lhs, rhs, _verdict(lhs, rhs), assumption_ok, note)
+
+
 def check_general(
     service: DistributionSpec,
     delay: DistributionSpec,
@@ -174,20 +173,14 @@ def check_general(
     E[D + S + 1] * sqrt(E[(f'(S))^2]) / E[f(S + S_prev)]
         <= 1/sqrt(p) - sqrt(p),     p = P(S_prev - D > 0).
     """
-    p = prob_diff_exceeds(service, delay, 0.0)
-    mean_term = delay.mean + service.mean + 1.0
-    assumption_ok, note = _assumption_flag(service, delay, check_assumption)
-    try:
-        ef_prime_sq = _expect(service, lambda s: float(f.deriv(s)) ** 2)
-        ef_sum = _expect_sum_two(service, lambda t: float(f.eval(t)))
-        lhs = mean_term * math.sqrt(max(ef_prime_sq, 0.0)) / ef_sum
-    except Exception as exc:
-        return ConditionReport(
-            "thm1_general", math.nan, math.nan, VERDICT_INDETERMINATE,
-            assumption_ok, f"moment evaluation failed: {exc}",
-        )
-    rhs = _rhs_from_tail(p)
-    return ConditionReport("thm1_general", lhs, rhs, _verdict(lhs, rhs), assumption_ok, note)
+    return _zero_lag_report(
+        "thm1_general", service, delay, check_assumption,
+        lambda mean_term: (
+            mean_term
+            * math.sqrt(max(service.expect(lambda s: float(f.deriv(s)) ** 2), 0.0))
+            / _expect_sum_two(service, lambda t: float(f.eval(t)))
+        ),
+    )
 
 
 def check_exponential(
@@ -201,25 +194,13 @@ def check_exponential(
 
     kappa * E[D + S + 1] * sqrt(M_S(-2*kappa)) / M_S(-kappa)^2 <= 1/sqrt(p) - sqrt(p).
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    p = prob_diff_exceeds(service, delay, 0.0)
-    mean_term = delay.mean + service.mean + 1.0
-    assumption_ok, note = _assumption_flag(service, delay, check_assumption)
-    try:
-        lhs = (
-            kappa
-            * mean_term
-            * math.sqrt(service.mgf(-2.0 * kappa))
-            / service.mgf(-kappa) ** 2
-        )
-    except Exception as exc:
-        return ConditionReport(
-            "cor1_exponential", math.nan, math.nan, VERDICT_INDETERMINATE,
-            assumption_ok, f"moment evaluation failed: {exc}",
-        )
-    rhs = _rhs_from_tail(p)
-    return ConditionReport("cor1_exponential", lhs, rhs, _verdict(lhs, rhs), assumption_ok, note)
+    _check_kappa(kappa)
+    return _zero_lag_report(
+        "cor1_exponential", service, delay, check_assumption,
+        lambda mean_term: (
+            kappa * mean_term * math.sqrt(service.mgf(-2.0 * kappa)) / service.mgf(-kappa) ** 2
+        ),
+    )
 
 
 def check_polynomial(
@@ -234,22 +215,17 @@ def check_polynomial(
     gamma * E[D + S + 1] * sqrt(E[(S+1)^(-2*gamma-2)]) / E[(S + S_prev + 1)^(-gamma)]
         <= 1/sqrt(p) - sqrt(p).
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    p = prob_diff_exceeds(service, delay, 0.0)
-    mean_term = delay.mean + service.mean + 1.0
-    assumption_ok, note = _assumption_flag(service, delay, check_assumption)
-    try:
-        neg_moment = _expect(service, lambda s: (s + 1.0) ** (-2.0 * gamma - 2.0))
-        sum_moment = _expect_sum_two(service, lambda t: (t + 1.0) ** (-gamma))
-        lhs = gamma * mean_term * math.sqrt(max(neg_moment, 0.0)) / sum_moment
-    except Exception as exc:
-        return ConditionReport(
-            "cor2_polynomial", math.nan, math.nan, VERDICT_INDETERMINATE,
-            assumption_ok, f"moment evaluation failed: {exc}",
-        )
-    rhs = _rhs_from_tail(p)
-    return ConditionReport("cor2_polynomial", lhs, rhs, _verdict(lhs, rhs), assumption_ok, note)
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    return _zero_lag_report(
+        "cor2_polynomial", service, delay, check_assumption,
+        lambda mean_term: (
+            gamma
+            * mean_term
+            * math.sqrt(max(service.expect(lambda s: (s + 1.0) ** (-2.0 * gamma - 2.0)), 0.0))
+            / _expect_sum_two(service, lambda t: (t + 1.0) ** (-gamma))
+        ),
+    )
 
 
 def _prob_delay_exceeds_service(service, delay) -> tuple[float, str]:
@@ -272,8 +248,7 @@ def check_surrogate(
                  < (1/kappa) P(D > S)  (strict).
     A divergent M_D(kappa) makes both reports indeterminate.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     try:
         ms = service.mgf(-kappa)
         md = delay.mgf(kappa)
@@ -293,10 +268,7 @@ def check_surrogate(
         False,
         "rhs is the MGF product M_S(-kappa) * M_D(kappa); holds iff it reaches 1",
     )
-    try:
-        ew0 = expected_wait(service, delay, 0.0, ClosedForm())
-    except ClosedFormUnavailableError:
-        ew0 = expected_wait(service, delay, 0.0, NumericIntegration())
+    ew0 = _closed_form_or_numeric(expected_wait, service, delay, 0.0)
     pds, tie_note = _prob_delay_exceeds_service(service, delay)
     lhs2 = math.log(1.0 / product) / kappa + delay.mean + ew0
     rhs2 = pds / kappa
@@ -332,15 +304,6 @@ class RegionScan:
         )
 
 
-def _spec_for_family(family: str, mean: float) -> DistributionSpec:
-    if family == "exponential":
-        return Exponential(mean)
-    if family == "uniform":
-        # a mean-only uniform is instantiated on [0, 2*mean]
-        return Uniform(0.0, 2.0 * mean)
-    raise ValueError(f"region scans support exponential/uniform families, got {family!r}")
-
-
 def region_scan(
     ts_values: Sequence[float],
     td_values: Sequence[float],
@@ -350,38 +313,32 @@ def region_scan(
 ) -> RegionScan:
     """Classify every (t_s, t_d) cell by one zero-lag optimality condition.
 
-    mode "thm2_cond1" tests the MGF product; mode "cor1" runs the
+    The laws come from ``law_for_family`` at each cell's means. mode
+    "thm2_cond1" tests the MGF product; mode "cor1" runs the
     exponential-reward specialization checker. Cells whose MGFs diverge
-    are marked indeterminate.
+    are marked indeterminate. A bad mode, family or kappa raises a
+    ParameterError naming ``mode``, ``service_family``, ``delay_family``
+    or ``kappa``.
     """
     if mode not in ("thm2_cond1", "cor1"):
-        raise ValueError(f"unknown region-scan mode {mode!r}")
-    service_family, delay_family = families
+        raise ParameterError("mode", f"unknown region-scan mode {mode!r}")
+    for name, family in zip(("service_family", "delay_family"), families, strict=True):
+        if family not in FAMILIES:
+            raise ParameterError(name, f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_kappa(kappa)
+    ts = tuple(float(t) for t in ts_values)
+    td = tuple(float(t) for t in td_values)
+    services = [law_for_family(families[0], t_s) for t_s in ts]
+    delays = [law_for_family(families[1], t_d) for t_d in td]
 
-    def scan_row(t_s: float) -> tuple[str, ...]:
-        service = _spec_for_family(service_family, t_s)
-        row = []
-        for t_d in td_values:
-            delay = _spec_for_family(delay_family, t_d)
-            try:
-                if mode == "thm2_cond1":
-                    product = service.mgf(-kappa) * delay.mgf(kappa)
-                    row.append(VERDICT_HOLDS if product >= 1.0 else VERDICT_FAILS)
-                else:
-                    row.append(
-                        check_exponential(
-                            service, delay, kappa, check_assumption=False
-                        ).verdict
-                    )
-            except DivergentMGFError:
-                row.append(VERDICT_INDETERMINATE)
-        return tuple(row)
+    def verdict(service: DistributionSpec, delay: DistributionSpec) -> str:
+        try:
+            if mode == "thm2_cond1":
+                product = service.mgf(-kappa) * delay.mgf(kappa)
+                return VERDICT_HOLDS if product >= 1.0 else VERDICT_FAILS
+            return check_exponential(service, delay, kappa, check_assumption=False).verdict
+        except DivergentMGFError:
+            return VERDICT_INDETERMINATE
 
-    verdicts = tuple(ordered_map(scan_row, [float(t) for t in ts_values]))
-    return RegionScan(
-        ts_values=tuple(float(t) for t in ts_values),
-        td_values=tuple(float(t) for t in td_values),
-        verdicts=verdicts,
-        mode=mode,
-        kappa=kappa,
-    )
+    verdicts = tuple(tuple(verdict(s, d) for d in delays) for s in services)
+    return RegionScan(ts_values=ts, td_values=td, verdicts=verdicts, mode=mode, kappa=kappa)

@@ -14,6 +14,7 @@ import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 from scipy import integrate
@@ -28,6 +29,9 @@ __all__ = [
     "TruncatedNormal",
     "Deterministic",
     "DivergentMGFError",
+    "FAMILIES",
+    "law_for_family",
+    "monte_carlo_draws",
     "prob_diff_exceeds",
     "QUAD_TOL",
 ]
@@ -36,6 +40,7 @@ QUAD_TOL = 1e-9
 _QUAD_EPS = 1e-12          # internal quadrature target, tighter than the guarantee
 TAIL_EPS = 1e-12           # integrals truncated at the 1 - TAIL_EPS quantile
 MC_FALLBACK_SAMPLES = 10_000_000
+MC_CHUNK = 2_000_000       # Monte-Carlo draws held in memory at once, per law
 _MC_FALLBACK_SEED = 0x7A11BACC  # fixed: fallback estimates must stay reproducible
 
 
@@ -93,6 +98,23 @@ class DistributionSpec(ABC):
 
     def upper_quantile(self, eps: float = TAIL_EPS) -> float:
         return self.ppf(1.0 - eps)
+
+    def expect(self, g, tol: float = _QUAD_EPS, breaks=()) -> float:
+        """E[g(X)] by adaptive quadrature over the support, cut at the
+        1 - TAIL_EPS quantile and split at the finite break points inside it."""
+        lo, hi = self.support()
+        hi = min(hi, self.upper_quantile())
+        points = sorted({b for b in breaks if lo < b < hi and math.isfinite(b)})
+        val, _ = integrate.quad(
+            lambda x: float(g(x)) * float(self.pdf(x)),
+            lo,
+            hi,
+            points=points or None,
+            epsabs=tol,
+            epsrel=tol,
+            limit=300,
+        )
+        return val
 
 
 @dataclass(frozen=True)
@@ -152,10 +174,10 @@ class Uniform(DistributionSpec):
     upper: float
 
     def __post_init__(self):
-        if self.lower < 0:
-            raise ValueError(f"uniform lower bound must be nonnegative, got {self.lower}")
-        if not self.upper > self.lower:
-            raise ValueError(f"uniform needs upper > lower, got [{self.lower}, {self.upper}]")
+        if not 0 <= self.lower < math.inf:
+            raise ValueError(f"uniform lower bound must be finite and >= 0, got {self.lower}")
+        if not self.lower < self.upper < math.inf:
+            raise ValueError(f"uniform needs lower < upper < inf, got {self.lower}, {self.upper}")
 
     @property
     def mean(self) -> float:
@@ -205,9 +227,11 @@ class TruncatedNormal(DistributionSpec):
     upper: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.lower < 0:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0 <= self.lower < math.inf:
             raise ValueError(f"truncation window must sit in [0, inf), got lower={self.lower}")
         if not self.upper > self.lower:
             raise ValueError(f"truncation needs upper > lower, got [{self.lower}, {self.upper}]")
@@ -293,8 +317,8 @@ class Deterministic(DistributionSpec):
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"point mass must be nonnegative, got {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"point mass must be finite and nonnegative, got {self.value}")
 
     @property
     def mean(self) -> float:
@@ -303,6 +327,9 @@ class Deterministic(DistributionSpec):
     @property
     def is_continuous(self) -> bool:
         return False
+
+    def expect(self, g, tol: float = _QUAD_EPS, breaks=()) -> float:
+        return float(g(self.value))
 
     def sample(self, rng, size=None):
         if size is None:
@@ -332,19 +359,46 @@ class Deterministic(DistributionSpec):
         return Deterministic(target)
 
 
-def _prob_diff_monte_carlo(service: DistributionSpec, delay: DistributionSpec, x: float) -> float:
-    rng_s = substream(_MC_FALLBACK_SEED, "prob-diff-service")
-    rng_d = substream(_MC_FALLBACK_SEED, "prob-diff-delay")
-    hits = 0
-    chunk = 2_000_000
-    remaining = MC_FALLBACK_SAMPLES
-    while remaining > 0:
-        m = min(chunk, remaining)
-        s = service.sample(rng_s, m)
-        d = delay.sample(rng_d, m)
-        hits += int(np.count_nonzero(s - d > x))
-        remaining -= m
-    return hits / MC_FALLBACK_SAMPLES
+FAMILIES = ("exponential", "uniform", "truncnorm")
+
+
+def law_for_family(family: str, mean: float) -> DistributionSpec:
+    """The law of a named family with the given mean.
+
+    A uniform lives on [0, 2*mean]; a truncated normal has mu = mean and
+    sigma = mean/2 on the symmetric window [0, 2*mean], which keeps its
+    truncated mean exactly at ``mean``.
+    """
+    if family == "exponential":
+        return Exponential(mean)
+    if family == "uniform":
+        return Uniform(0.0, 2.0 * mean)
+    if family == "truncnorm":
+        return TruncatedNormal(mu=mean, sigma=mean / 2.0, lower=0.0, upper=2.0 * mean)
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def monte_carlo_draws(
+    seed: int,
+    laws: Mapping[str, DistributionSpec],
+    n: int,
+    batches: Optional[int] = None,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """n seeded draws from each law, yielded chunk by chunk as one tuple of
+    equal-length arrays per chunk, in the mapping's order.
+
+    The law under ``label`` draws from ``substream(seed, label)``. Chunks
+    hold MC_CHUNK draws (the last one the rest) or, given ``batches``, split
+    n into that many contiguous batches, the first n % batches of them one
+    draw longer.
+    """
+    streams = [(law, substream(seed, label)) for label, law in laws.items()]
+    if batches is None:
+        sizes = [min(MC_CHUNK, n - done) for done in range(0, n, MC_CHUNK)]
+    else:
+        sizes = [n // batches + (i < n % batches) for i in range(batches)]
+    for m in sizes:
+        yield tuple(law.sample(rng, m) for law, rng in streams)
 
 
 def prob_diff_exceeds(
@@ -393,4 +447,12 @@ def prob_diff_exceeds(
             return float(min(max(val, 0.0), 1.0))
     except Exception:
         pass
-    return _prob_diff_monte_carlo(service, delay, x)
+    hits = sum(
+        int(np.count_nonzero(s - d > x))
+        for s, d in monte_carlo_draws(
+            _MC_FALLBACK_SEED,
+            {"prob-diff-service": service, "prob-diff-delay": delay},
+            MC_FALLBACK_SAMPLES,
+        )
+    )
+    return hits / MC_FALLBACK_SAMPLES

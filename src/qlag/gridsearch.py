@@ -16,15 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ._fmt import fmt_float, write_csv
-from .analytics import (
-    ClosedForm,
-    ClosedFormUnavailableError,
-    NumericIntegration,
-    reward_exact,
-    surrogate_reward,
-)
+from .analytics import _closed_form_or_numeric, reward_exact, surrogate_reward
 from .distributions import DistributionSpec
-from .parallel import ordered_map
 from .reward import ExponentialReward
 from .simulator import DEFAULT_BURN_IN, ParameterError, ParamSchedule, sweep_lags
 
@@ -73,13 +66,6 @@ def build_lag_grid(lag_min: float, lag_max: float, step: float) -> np.ndarray:
     return lag_min + step * np.arange(count)
 
 
-def _exact_reward(service, delay, f, lag: float) -> float:
-    try:
-        return reward_exact(service, delay, f, lag, ClosedForm())
-    except ClosedFormUnavailableError:
-        return reward_exact(service, delay, f, lag, NumericIntegration())
-
-
 def optimize(
     service: DistributionSpec,
     delay: DistributionSpec,
@@ -120,16 +106,16 @@ def optimize(
         )
         points = tuple(GridPoint(lag, value, se) for lag, (value, se) in zip(lags, estimates))
     elif objective == "exact":
-        points = tuple(ordered_map(
-            lambda lag: GridPoint(lag, _exact_reward(service, delay, f, lag), 0.0), lags
-        ))
+        points = tuple(
+            GridPoint(lag, _closed_form_or_numeric(reward_exact, service, delay, f, lag), 0.0)
+            for lag in lags
+        )
     else:
         if not isinstance(f, ExponentialReward):
             raise ValueError("the surrogate objective is defined for exponential rewards")
-        points = tuple(ordered_map(
-            lambda lag: GridPoint(lag, surrogate_reward(service, delay, f.kappa, lag), 0.0),
-            lags,
-        ))
+        points = tuple(
+            GridPoint(lag, surrogate_reward(service, delay, f.kappa, lag), 0.0) for lag in lags
+        )
 
     rewards = np.array([p.reward for p in points])
     best = int(np.argmax(rewards))  # first maximum = smallest lag on ties

@@ -8,6 +8,7 @@ checkers, so custom non-increasing rewards plug in at the interface level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,8 +24,8 @@ class ExponentialReward:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
     def eval(self, t):
         return np.exp(-self.kappa * t)
@@ -40,8 +41,8 @@ class PolynomialReward:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
 
     def eval(self, t):
         return (t + 1.0) ** (-self.gamma)

@@ -26,8 +26,8 @@ from .distributions import (
     DistributionSpec,
     DivergentMGFError,
     Exponential,
-    TruncatedNormal,
     Uniform,
+    law_for_family,
 )
 from .gridsearch import optimize
 from .parallel import ordered_map
@@ -117,18 +117,6 @@ _CASE_LAYOUT = (
 )
 
 
-def _family_spec(family: str, mean: float) -> DistributionSpec:
-    if family == "exponential":
-        return Exponential(mean)
-    if family == "uniform":
-        return Uniform(0.0, 2.0 * mean)
-    if family == "truncnorm":
-        # symmetric window [0, 2*mean] around mu = mean keeps the truncated
-        # mean exactly at `mean`; sigma = mean/2 is the documented default
-        return TruncatedNormal(mu=mean, sigma=mean / 2.0, lower=0.0, upper=2.0 * mean)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def default_cases(
     kappa: float = 1.0,
     n: int = 50_000,
@@ -146,8 +134,8 @@ def default_cases(
             specs.append(
                 ExperimentSpec(
                     id=f"{label}{row}",
-                    service=_family_spec(service_family, t_s),
-                    delay=_family_spec(delay_family, t_d),
+                    service=law_for_family(service_family, t_s),
+                    delay=law_for_family(delay_family, t_d),
                     reward=ExponentialReward(kappa),
                     methods=frozenset(methods),
                     schedule=None,

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlag import (
     ClosedForm,
@@ -29,6 +31,7 @@ from qlag import (
     surrogate_reward,
     wait_derivative,
 )
+from qlag.analytics import _closed_form_or_numeric
 
 EXP_S = Exponential(1.0)
 EXP_D = Exponential(0.33)
@@ -232,3 +235,38 @@ def test_eval_method_validation():
         reward_exact(EXP_S, EXP_D, ExponentialReward(1.0), -1.0)
     with pytest.raises(ValueError):
         surrogate_reward(EXP_S, EXP_D, -1.0, 0.0)
+
+
+# law pairs with a closed-form exponential reward, from (service mean, delay mean)
+CLOSED_FORM_PAIRS = {
+    "exp/exp": lambda t_s, t_d: (Exponential(t_s), Exponential(t_d)),
+    "exp/uniform": lambda t_s, t_d: (Exponential(t_s), Uniform(0.0, 2.0 * t_d)),
+    "exp/det": lambda t_s, t_d: (Exponential(t_s), Deterministic(t_d)),
+    "det/det": lambda t_s, t_d: (Deterministic(t_s), Deterministic(t_d)),
+}
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS)
+@given(
+    t_s=st.floats(0.2, 2.0),
+    t_d=st.floats(0.05, 1.0),
+    lag=st.floats(0.0, 3.0),
+    kappa=st.floats(0.2, 3.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_closed_form_and_numeric_agree(pair, t_s, t_d, lag, kappa):
+    service, delay = CLOSED_FORM_PAIRS[pair](t_s, t_d)
+    f = ExponentialReward(kappa)
+    closed = reward_exact(service, delay, f, lag, ClosedForm())
+    assert reward_exact(service, delay, f, lag, NumericIntegration()) == pytest.approx(
+        closed, rel=1e-7
+    )
+    assert _closed_form_or_numeric(reward_exact, service, delay, f, lag) == closed
+
+    numeric_wait = expected_wait(service, delay, lag, NumericIntegration())
+    try:
+        closed_wait = expected_wait(service, delay, lag, ClosedForm())
+    except ClosedFormUnavailableError:
+        closed_wait = numeric_wait  # the fallback's answer
+    assert numeric_wait == pytest.approx(closed_wait, rel=1e-7, abs=1e-12)
+    assert _closed_form_or_numeric(expected_wait, service, delay, lag) == closed_wait

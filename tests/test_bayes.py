@@ -18,7 +18,7 @@ from qlag import (
     run_adaptive,
     update,
 )
-from qlag import bayes
+from qlag import bayes, simulator
 from qlag.bayes import adaptive_log_to_csv
 from qlag.streams import substream
 
@@ -213,7 +213,7 @@ def test_lag_depends_only_on_earlier_jobs(monkeypatch, rule, j):
     # job j+1 is called when job j enters service, before S[j] is known, so
     # changing S[j] must leave the lags of jobs 0..j+1 as they were
     service, delay = Exponential(1.0), Exponential(0.33)
-    real = bayes.sample_jobs
+    real = simulator.sample_jobs
 
     def run():
         return run_adaptive(service, delay, None, F1, n=2000, cfg=BayesConfig(rule=rule),
@@ -230,7 +230,7 @@ def test_lag_depends_only_on_earlier_jobs(monkeypatch, rule, j):
             draws[j] = 0.0 if was_busy else draws[j] + 50.0
         return draws
 
-    monkeypatch.setattr(bayes, "sample_jobs", changed_service)
+    monkeypatch.setattr(simulator, "sample_jobs", changed_service)
     changed = run()
     assert changed.trajectory.busy[j + 1] != was_busy
     assert np.array_equal(base.lags[: j + 2], changed.lags[: j + 2])

@@ -198,6 +198,8 @@ _GRID = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 20_000}
     ("n=500", "n"),
     ('n="many"', "n"),
     ('objective="golden"', "objective"),
+    ('reward={"kind": "exp", "kappa": NaN}', "reward"),
+    ('service={"kind": "deterministic", "value": NaN}', "service"),
 ])
 def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, _GRID)
@@ -208,6 +210,8 @@ def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
 
 
 _BAYES = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 2000}
+_REGION = {"service_family": "exponential", "delay_family": "uniform", "kappa": 1.0,
+           "ts": [0.5, 1.0], "td": {"min": 0.2, "max": 0.6, "count": 3}}
 
 
 @pytest.mark.parametrize("command, base, override, field", [
@@ -220,6 +224,16 @@ _BAYES = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 2000}
     ("mean-shift", _MEAN_SHIFT, 'kind="gradual"', "kind"),
     ("simulate", {**_BAYES, "n": 50}, "lag=NaN", "lag"),
     ("simulate", {**_BAYES, "n": 50}, 'window={"kind": "last_k", "k": 500}', "window"),
+    ("region-scan", _REGION, 'service_family="gamma"', "service_family"),
+    ("region-scan", _REGION, 'delay_family="weibull"', "delay_family"),
+    ("region-scan", _REGION, 'kappa="steep"', "kappa"),
+    ("region-scan", _REGION, "kappa=NaN", "kappa"),
+    ("region-scan", _REGION, "kappa=0", "kappa"),
+    ("region-scan", _REGION, 'ts=[0.5, "x"]', "ts"),
+    ("region-scan", _REGION, "ts=[0.5, NaN]", "ts"),
+    ("region-scan", _REGION, 'td={"min": 0.2, "max": "x", "count": 3}', "td"),
+    ("region-scan", _REGION, "td=[0.2, -1]", "td"),
+    ("region-scan", _REGION, 'mode="bogus"', "mode"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)
@@ -242,6 +256,14 @@ def test_region_scan_command(tmp_path):
     lines = (out / "region.csv").read_text().splitlines()
     assert lines[0] == "t_s,t_d,verdict"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_region_scan_truncnorm_family(tmp_path):
+    cfg = write_config(tmp_path, {**_REGION, "service_family": "truncnorm",
+                                  "delay_family": "truncnorm", "mode": "cor1"})
+    out = tmp_path / "out"
+    assert run(["region-scan", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len((out / "region.csv").read_text().splitlines()) == 1 + 2 * 3
 
 
 def test_mean_shift_command(tmp_path):

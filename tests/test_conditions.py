@@ -23,6 +23,8 @@ from qlag import (
     region_scan,
     verify_assumption,
 )
+from qlag.distributions import law_for_family
+from qlag.simulator import ParameterError
 
 EXP_S = Exponential(1.0)
 EXP_D = Exponential(0.33)
@@ -266,3 +268,23 @@ class TestRegionScan:
             region_scan([1.0], [0.5], 1.0, mode="bogus")
         with pytest.raises(ValueError):
             region_scan([1.0], [0.5], 1.0, families=("gamma", "exponential"))
+
+    def test_truncnorm_family_cells(self):
+        scan = region_scan([1.0, 0.5], [0.33], 1.0, families=("truncnorm", "truncnorm"))
+        for i, t_s in enumerate((1.0, 0.5)):
+            s, d = law_for_family("truncnorm", t_s), law_for_family("truncnorm", 0.33)
+            expect = VERDICT_HOLDS if s.mgf(-1.0) * d.mgf(1.0) >= 1.0 else VERDICT_FAILS
+            assert scan.verdict_at(i, 0) == expect
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"kappa": math.nan}, "kappa"),
+        ({"kappa": math.inf}, "kappa"),
+        ({"kappa": 0.0}, "kappa"),
+        ({"mode": "bogus"}, "mode"),
+        ({"families": ("gamma", "exponential")}, "service_family"),
+        ({"families": ("uniform", "weibull")}, "delay_family"),
+    ])
+    def test_bad_arguments_name_their_parameter(self, kwargs, name):
+        with pytest.raises(ParameterError) as info:
+            region_scan([1.0], [0.5], **{"kappa": 1.0, **kwargs})
+        assert info.value.name == name

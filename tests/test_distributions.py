@@ -1,6 +1,7 @@
 """Distribution laws: sampling, moments, MGFs, and the cross-law tail."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from qlag import (
     Deterministic,
     DivergentMGFError,
     Exponential,
+    ExponentialReward,
+    PolynomialReward,
     TruncatedNormal,
     Uniform,
     prob_diff_exceeds,
     substream,
 )
+from qlag import distributions
+from qlag.distributions import FAMILIES, law_for_family
 
 ALL_SPECS = [
     Exponential(1.0),
@@ -230,3 +235,100 @@ def test_truncnorm_samples_stay_in_window():
     spec = TruncatedNormal(0.33, 0.165, 0.0, 0.66)
     draws = spec.sample(substream(5, "tn-win"), 10**5)
     assert draws.min() >= 0.0 and draws.max() <= 0.66
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, args", [
+    (Exponential, (NAN,)),
+    (Exponential, (INF,)),
+    (Uniform, (NAN, 1.0)),
+    (Uniform, (0.0, NAN)),
+    (Uniform, (0.0, INF)),
+    (Uniform, (INF, INF)),
+    (TruncatedNormal, (NAN, 1.0, 0.0, 2.0)),
+    (TruncatedNormal, (INF, 1.0, 0.0, 2.0)),
+    (TruncatedNormal, (1.0, NAN, 0.0, 2.0)),
+    (TruncatedNormal, (1.0, INF, 0.0, 2.0)),
+    (TruncatedNormal, (1.0, 1.0, NAN, 2.0)),
+    (TruncatedNormal, (1.0, 1.0, INF, INF)),
+    (TruncatedNormal, (1.0, 1.0, 0.0, NAN)),
+    (Deterministic, (NAN,)),
+    (Deterministic, (INF,)),
+    (ExponentialReward, (NAN,)),
+    (ExponentialReward, (INF,)),
+    (PolynomialReward, (NAN,)),
+    (PolynomialReward, (INF,)),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__)
+def test_non_finite_parameters_rejected(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
+def test_one_sided_truncnorm_accepted():
+    spec = TruncatedNormal(1.0, 0.5, 0.0, INF)
+    assert math.isfinite(spec.mean) and spec.mean > 1.0
+    assert spec.support() == (0.0, INF)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_law_for_family_keeps_the_mean(family):
+    for mean in (0.1667, 1.0, 3.5):
+        assert law_for_family(family, mean).mean == pytest.approx(mean, rel=1e-12)
+
+
+def test_law_for_family_rejects_unknown_family():
+    with pytest.raises(ValueError):
+        law_for_family("gamma", 1.0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+def test_expect_matches_moments(spec):
+    assert spec.expect(lambda x: 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert spec.expect(lambda x: x) == pytest.approx(spec.mean, rel=1e-9)
+    assert spec.expect(lambda x: math.exp(-0.7 * x)) == pytest.approx(spec.mgf(-0.7), rel=1e-9)
+
+
+class TestMonteCarloFallback:
+    """prob_diff_exceeds falls back to seeded Monte Carlo when quadrature fails."""
+
+    SAMPLES = 200_001
+    PAIRS = [
+        (Uniform(0.0, 2.0), Exponential(0.33), 0.3),
+        (Exponential(1.0), Uniform(0.0, 0.66), 0.0),
+        (TruncatedNormal(1.0, 0.5, 0.0, 2.0), TruncatedNormal(0.33, 0.165, 0.0, 0.66), 0.5),
+    ]
+
+    @staticmethod
+    def _break_quadrature(monkeypatch, quad):
+        monkeypatch.setattr(distributions, "integrate", types.SimpleNamespace(
+            quad=quad, IntegrationWarning=integrate.IntegrationWarning))
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise RuntimeError("quadrature forced to fail")
+
+    @staticmethod
+    def _inaccurate(*args, **kwargs):
+        return 0.5, 1.0
+
+    @pytest.mark.parametrize("quad", ["_raise", "_inaccurate"])
+    @pytest.mark.parametrize("s, d, x", PAIRS, ids=["unif-exp", "exp-unif", "tn-tn"])
+    def test_agrees_with_quadrature_and_repeats(self, monkeypatch, quad, s, d, x):
+        exact = prob_diff_exceeds(s, d, x)
+        monkeypatch.setattr(distributions, "MC_FALLBACK_SAMPLES", self.SAMPLES)
+        self._break_quadrature(monkeypatch, getattr(self, quad))
+        mc = prob_diff_exceeds(s, d, x)
+        assert round(mc * self.SAMPLES) / self.SAMPLES == mc  # a hit count over the samples
+        se = math.sqrt(exact * (1.0 - exact) / self.SAMPLES)
+        assert abs(mc - exact) <= 4.0 * se
+        assert prob_diff_exceeds(s, d, x) == mc
+
+    def test_chunking_leaves_the_estimate_unchanged(self, monkeypatch):
+        s, d, x = self.PAIRS[0]
+        monkeypatch.setattr(distributions, "MC_FALLBACK_SAMPLES", self.SAMPLES)
+        self._break_quadrature(monkeypatch, self._raise)
+        whole = prob_diff_exceeds(s, d, x)
+        monkeypatch.setattr(distributions, "MC_CHUNK", 70_000)  # 3 chunks, the last one short
+        assert prob_diff_exceeds(s, d, x) == whole
