@@ -21,6 +21,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .distributions import (
+    RULE_TAIL_EPS,
     Deterministic,
     DistributionSpec,
     Exponential,
@@ -84,34 +85,17 @@ class KinkWarning(UserWarning):
     """S - D has an atom at the requested lag; the derivative is one-sided."""
 
 
+_ORDERS = (16, 24, 32, 48, 64, 96, 128)  # Gauss-Legendre orders per axis, tried in turn
+_H_ORDER = 64     # service nodes behind the h(w) table
+# elements in the kernel's largest temporary arrays: 64 KB blocks keep an
+# exact grid from raising the peak resident memory of a simulation run
+_BLOCK = 1 << 13
+
+
 @dataclass(frozen=True)
 class RewardEstimate:
     value: float
     std_error: float
-
-
-def _upper_partial_expectation(spec: DistributionSpec, y: float, tol: float) -> float:
-    """E[(X - y)^+]."""
-    if isinstance(spec, Deterministic):
-        return max(spec.value - y, 0.0)
-    if isinstance(spec, Exponential):
-        if y <= 0:
-            return spec.mean - y
-        return spec.mean * math.exp(-y / spec.mean)
-    if isinstance(spec, Uniform):
-        if y <= spec.lower:
-            return spec.mean - y
-        if y >= spec.upper:
-            return 0.0
-        return (spec.upper - y) ** 2 / (2.0 * (spec.upper - spec.lower))
-    lo, hi = spec.support()
-    if y >= hi:
-        return 0.0
-    head = max(lo - y, 0.0)
-    val, _ = integrate.quad(
-        lambda u: float(spec.sf(u)), max(y, lo), hi, epsabs=tol, epsrel=tol, limit=200
-    )
-    return head + val
 
 
 def _check_kappa(kappa: float) -> None:
@@ -119,13 +103,18 @@ def _check_kappa(kappa: float) -> None:
         raise ParameterError("kappa", f"kappa must be finite and positive, got {kappa}")
 
 
-def _closed_form_or_numeric(fn, *args, tol: float = 1e-9) -> float:
-    """fn(*args, ClosedForm()), or fn(*args, NumericIntegration(tol)) where
-    fn has no closed form for the arguments."""
+def _closed_form_or_numeric(fn, kernel, *args, lags, tol: float = 1e-9) -> np.ndarray:
+    """fn(*args, lag, ClosedForm()) at every lag, or else kernel(*args, lags,
+    tol), the numeric value of the whole grid at once.
+
+    Whether a closed form exists depends on the laws alone, so the first
+    lag decides: fn raising ClosedFormUnavailableError there selects the
+    kernel.
+    """
     try:
-        return fn(*args, ClosedForm())
+        return np.array([fn(*args, lag, ClosedForm()) for lag in lags], dtype=float)
     except ClosedFormUnavailableError:
-        return fn(*args, NumericIntegration(tol))
+        return kernel(*args, np.asarray(lags, dtype=float), tol)
 
 
 def expected_wait(
@@ -148,13 +137,7 @@ def expected_wait(
         )
     if isinstance(method, MonteCarlo):
         return monte_carlo_wait(service, delay, lag, method.n, method.seed)[0]
-    tol = method.tol
-    s_lo, s_hi = service.support()
-    return delay.expect(
-        lambda t: _upper_partial_expectation(service, lag + t, tol),
-        tol,
-        breaks=(s_lo - lag, s_hi - lag),
-    )
+    return float(_numeric_waits(service, delay, [lag], method.tol)[0])
 
 
 def monte_carlo_wait(
@@ -191,42 +174,15 @@ def wait_derivative(service: DistributionSpec, delay: DistributionSpec, lag: flo
     return -prob_diff_exceeds(service, delay, lag)
 
 
-def _tail_kernel_exp(service: DistributionSpec, kappa: float, y: float, tol: float) -> float:
-    """E[exp(-kappa * (S - y)) * 1{S > y}] for y >= 0."""
-    if isinstance(service, Deterministic):
-        return math.exp(-kappa * (service.value - y)) if service.value > y else 0.0
-    if isinstance(service, Exponential):
-        lam = service.rate
-        return lam * math.exp(-lam * max(y, 0.0)) / (lam + kappa)
-    if isinstance(service, Uniform):
-        lo, hi = service.lower, service.upper
-        if y >= hi:
-            return 0.0
-        m = max(y, lo)
-        return (math.exp(-kappa * (m - y)) - math.exp(-kappa * (hi - y))) / (
-            kappa * (hi - lo)
-        )
-    lo, hi = service.support()
-    if y >= hi:
-        return 0.0
-    val, _ = integrate.quad(
-        lambda s: math.exp(-kappa * (s - y)) * float(service.pdf(s)),
-        max(y, lo),
-        hi,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-    )
-    return val
-
-
 def _reward_after_wait(service: DistributionSpec, f, tol: float):
-    """h(w) = E_S[f(w + S)] as a fast callable.
+    """h(w) = E_S[f(w + S)] as a fast callable on arrays of waits.
 
     Exact for the exponential family (h factorizes through the MGF) and for
     a point-mass service; otherwise tabulated by Gauss-Legendre quadrature
-    on a 2048-point wait grid with cubic interpolation, evaluating exactly
-    beyond the grid span.
+    over S with cubic interpolation in w: 2048 knots up to the service's
+    0.999 quantile, where h bends most, and 256 more up to its
+    1 - RULE_TAIL_EPS quantile, the largest wait the kernel asks for.
+    Beyond that, h is the same quadrature, evaluated in blocks of rows.
     """
     try:
         return _reward_after_wait_cached(service, f, tol)
@@ -242,76 +198,95 @@ def _reward_after_wait_cached(service: DistributionSpec, f, tol: float):
 def _build_reward_after_wait(service: DistributionSpec, f, tol: float):
     if isinstance(f, ExponentialReward):
         ms = service.mgf(-f.kappa)
-        return lambda w: ms * float(f.eval(w))
+        return lambda w: ms * f.eval(w)
     if isinstance(service, Deterministic):
         value = service.value
-        return lambda w: float(f.eval(w + value))
+        return lambda w: f.eval(w + value)
 
-    lo, hi = service.support()
-    hi = min(hi, service.upper_quantile())
-    nodes, weights = np.polynomial.legendre.leggauss(400)
-    s_nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    s_weights = 0.5 * (hi - lo) * weights * np.asarray(service.pdf(s_nodes), dtype=float)
+    s_nodes, s_weights = service.gauss_rule(_H_ORDER)
+    rows = _BLOCK // _H_ORDER
 
-    w_max = service.ppf(0.999)
-    w_grid = np.linspace(0.0, w_max, 2048)
-    h_vals = (np.asarray(f.eval(w_grid[:, None] + s_nodes[None, :])) * s_weights).sum(axis=1)
-    spline = CubicSpline(w_grid, h_vals)
+    def quad_h(w: np.ndarray) -> np.ndarray:
+        out = np.empty(len(w))
+        for i in range(0, len(w), rows):  # one (rows x nodes) block at a time
+            out[i:i + rows] = (f.eval(w[i:i + rows, None] + s_nodes) * s_weights).sum(axis=1)
+        return out
 
-    def h(w: float) -> float:
-        if w <= w_max:
-            return float(spline(w))
-        return float((np.asarray(f.eval(w + s_nodes)) * s_weights).sum())
+    w_mid = service.ppf(0.999)
+    w_max = service.upper_quantile(RULE_TAIL_EPS)
+    w_grid = np.concatenate((np.linspace(0.0, w_mid, 2048), np.linspace(w_mid, w_max, 257)[1:]))
+    spline = CubicSpline(w_grid, quad_h(w_grid))
+
+    def h(w):
+        w = np.asarray(w, dtype=float)
+        out = spline(w)
+        far = w > w_max
+        if far.any():
+            out[far] = quad_h(w[far])
+        return out
 
     return h
 
 
-def _reward_numerator_numeric(service, delay, f, lag, tol):
-    """E[f(W + S)] with W = max(S_prev - lag - D, 0)."""
-    if isinstance(f, ExponentialReward):
-        kappa = f.kappa
-        p_bar = prob_diff_exceeds(service, delay, lag)
-        s_lo, s_hi = service.support()
-        tail = delay.expect(
-            lambda t: _tail_kernel_exp(service, kappa, lag + t, tol),
-            tol,
-            breaks=(s_lo - lag, s_hi - lag),
-        )
-        mw = (1.0 - p_bar) + tail
-        return service.mgf(-kappa) * mw
+def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
+    """Rows P(W > 0), E[W] and, given h, E[h(W) 1{W > 0}] at every lag, for
+    W = max(S_prev - lag - D, 0).
 
-    h = _reward_after_wait(service, f, tol)
-    if isinstance(service, Deterministic):
-        s0 = service.value
-        return delay.expect(
-            lambda t: float(f.eval(max(s0 - lag - t, 0.0) + s0)),
-            tol,
-            breaks=(s0 - lag,),
-        )
-
-    p_bar = prob_diff_exceeds(service, delay, lag)
+    One tensor Gauss-Legendre rule over (D, S_prev). The outer rule cuts
+    D's support where lag + D crosses the ends of S_prev's support (the
+    inner integrals have kinks there); the inner rule runs over S_prev
+    above lag + D, so every integrand is smooth on its piece. The order
+    steps through _ORDERS until two successive orders agree within tol
+    (relative above 1); past the last order the result is returned with an
+    IntegrationWarning. Lags go through in blocks that keep every
+    temporary array near _BLOCK elements.
+    """
+    lags = np.asarray(lags, dtype=float)
     s_lo, s_hi = service.support()
-    s_hi_t = min(s_hi, service.upper_quantile())
-
-    def tail_inner(y: float) -> float:
-        if y >= s_hi_t:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda s: h(s - y) * float(service.pdf(s)),
-            max(y, s_lo),
-            s_hi_t,
-            epsabs=tol,
-            epsrel=tol,
-            limit=200,
-        )
-        return val
-
-    tail = delay.expect(
-        lambda t: tail_inner(lag + t),
-        tol,
-        breaks=(s_lo - lag, s_hi - lag),
+    s_hi = min(s_hi, service.upper_quantile(RULE_TAIL_EPS))
+    previous = None
+    for order in _ORDERS:
+        terms = np.empty((2 if h is None else 3, len(lags)))
+        # (outer nodes x inner nodes) per lag, from the rules' sizes at one lag
+        per_lag = (delay.gauss_rule(order, breaks=(s_lo, s_hi))[0].shape[-1]
+                   * service.gauss_rule(order)[0].shape[-1])
+        step = max(1, _BLOCK // per_lag)
+        for i in range(0, len(lags), step):
+            lag = lags[i:i + step]
+            d, wd = delay.gauss_rule(order, breaks=(s_lo - lag, s_hi - lag))
+            y = lag[:, None] + d
+            s, ws = service.gauss_rule(order, above=y)
+            excess = np.maximum(s - y[..., None], 0.0)  # zero where the weight is
+            terms[0, i:i + step] = (wd * service.sf(y)).sum(-1)
+            terms[1, i:i + step] = (wd * (ws * excess).sum(-1)).sum(-1)
+            if h is not None:
+                terms[2, i:i + step] = (wd * (ws * h(excess)).sum(-1)).sum(-1)
+        if previous is not None and np.all(
+            np.abs(terms - previous) <= tol * np.maximum(1.0, np.abs(terms))
+        ):
+            return terms
+        previous = terms
+    warnings.warn(
+        f"the Gauss-Legendre rule has not settled within {tol:g} by order "
+        f"{_ORDERS[-1]}; returning that order's value",
+        integrate.IntegrationWarning,
+        stacklevel=3,
     )
-    return (1.0 - p_bar) * h(0.0) + tail
+    return terms
+
+
+def _numeric_waits(service, delay, lags, tol) -> np.ndarray:
+    """E[W] at every lag, from one kernel call."""
+    return _wait_terms(service, delay, lags, tol)[1]
+
+
+def _numeric_rewards(service, delay, f, lags, tol) -> np.ndarray:
+    """G at every lag, from one kernel call."""
+    lags = np.asarray(lags, dtype=float)
+    h = _reward_after_wait(service, f, tol)
+    p_busy, ew, tail = _wait_terms(service, delay, lags, tol, h)
+    numer = (1.0 - p_busy) * h(np.zeros(1)) + tail
+    return numer / (lags + delay.mean + ew)
 
 
 def reward_exact(
@@ -351,10 +326,7 @@ def reward_exact(
             f"no closed-form reward for {type(service).__name__}/"
             f"{type(delay).__name__} with {type(f).__name__}"
         )
-    tol = method.tol
-    numer = _reward_numerator_numeric(service, delay, f, lag, tol)
-    denom = lag + delay.mean + expected_wait(service, delay, lag, NumericIntegration(tol))
-    return numer / denom
+    return float(_numeric_rewards(service, delay, f, [lag], method.tol)[0])
 
 
 def monte_carlo_reward(
@@ -403,11 +375,20 @@ def surrogate_reward(
     _check_kappa(kappa)
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
+    return float(_surrogate_rewards(service, delay, kappa, [lag], tol)[0])
+
+
+def _surrogate_rewards(service, delay, kappa: float, lags, tol: float = 1e-9) -> np.ndarray:
+    """surrogate_reward at every lag (kappa already checked), with one E[W]
+    column for the grid."""
+    lags = np.asarray(lags, dtype=float)
     ms = service.mgf(-kappa)
     md = delay.mgf(kappa)
-    ew = _closed_form_or_numeric(expected_wait, service, delay, lag, tol=tol)
-    numer = ms * min(ms * math.exp(kappa * lag) * md, 1.0)
-    return numer / (lag + delay.mean + ew)
+    ew = _closed_form_or_numeric(
+        expected_wait, _numeric_waits, service, delay, lags=lags, tol=tol
+    )
+    numer = ms * np.minimum(ms * np.exp(kappa * lags) * md, 1.0)
+    return numer / (lags + delay.mean + ew)
 
 
 def delta_star(service: DistributionSpec, delay: DistributionSpec, kappa: float) -> float:

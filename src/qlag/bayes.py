@@ -299,8 +299,7 @@ def adaptive_log_to_csv(result: AdaptiveResult, f, path) -> None:
     traj = result.trajectory
     n = len(traj)
     width = result.reporting.size if result.reporting.kind != "all" else n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        windowed = estimate_reward(traj, f, Window.sliding(width))
+    windowed = estimate_reward(traj, f, Window.sliding(width))
 
     def rows():
         for j in range(n):

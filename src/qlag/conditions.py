@@ -24,7 +24,7 @@ from .distributions import (
     prob_diff_exceeds,
 )
 from ._fmt import fmt_float, write_csv
-from .analytics import _check_kappa, _closed_form_or_numeric, expected_wait
+from .analytics import _check_kappa, _closed_form_or_numeric, _numeric_waits, expected_wait
 from .simulator import ParameterError
 
 __all__ = [
@@ -268,7 +268,9 @@ def check_surrogate(
         False,
         "rhs is the MGF product M_S(-kappa) * M_D(kappa); holds iff it reaches 1",
     )
-    ew0 = _closed_form_or_numeric(expected_wait, service, delay, 0.0)
+    ew0 = float(
+        _closed_form_or_numeric(expected_wait, _numeric_waits, service, delay, lags=[0.0])[0]
+    )
     pds, tie_note = _prob_delay_exceeds_service(service, delay)
     lhs2 = math.log(1.0 / product) / kappa + delay.mean + ew0
     rhs2 = pds / kappa

@@ -16,7 +16,9 @@ from typing import Optional
 import numpy as np
 
 from ._fmt import fmt_float, write_csv
-from .analytics import _closed_form_or_numeric, reward_exact, surrogate_reward
+from .analytics import (
+    _closed_form_or_numeric, _numeric_rewards, _surrogate_rewards, reward_exact,
+)
 from .distributions import DistributionSpec
 from .reward import ExponentialReward
 from .simulator import DEFAULT_BURN_IN, ParameterError, ParamSchedule, sweep_lags
@@ -105,17 +107,16 @@ def optimize(
             service, delay, lags, f, n, schedule=schedule, seed=seed, burn_in=burn_in
         )
         points = tuple(GridPoint(lag, value, se) for lag, (value, se) in zip(lags, estimates))
-    elif objective == "exact":
-        points = tuple(
-            GridPoint(lag, _closed_form_or_numeric(reward_exact, service, delay, f, lag), 0.0)
-            for lag in lags
-        )
     else:
-        if not isinstance(f, ExponentialReward):
+        if objective == "exact":
+            rewards = _closed_form_or_numeric(
+                reward_exact, _numeric_rewards, service, delay, f, lags=lags
+            )
+        elif isinstance(f, ExponentialReward):
+            rewards = _surrogate_rewards(service, delay, f.kappa, lags)
+        else:
             raise ValueError("the surrogate objective is defined for exponential rewards")
-        points = tuple(
-            GridPoint(lag, surrogate_reward(service, delay, f.kappa, lag), 0.0) for lag in lags
-        )
+        points = tuple(GridPoint(lag, float(r), 0.0) for lag, r in zip(lags, rewards))
 
     rewards = np.array([p.reward for p in points])
     best = int(np.argmax(rewards))  # first maximum = smallest lag on ties

@@ -392,7 +392,8 @@ def estimate_reward(traj: Trajectory, f, window: Window = Window.all()):
     """Per-unit-time reward estimate sum f(T_j) / sum IAT_j over the window.
 
     For a sliding window, returns one estimate per window position (the
-    series is ordered by the window's end job).
+    series is ordered by the window's end job); it is NaN where the window
+    spans no time, as the width-1 window over job 0 does.
     """
     if window.kind == "sliding":
         n = len(traj)
@@ -401,7 +402,9 @@ def estimate_reward(traj: Trajectory, f, window: Window = Window.all()):
             raise EmptyWindowError(f"sliding width {w} exceeds trajectory length {n}")
         f_cum = np.concatenate(([0.0], np.cumsum(f.eval(traj.sojourn))))
         a_cum = np.concatenate(([0.0], np.cumsum(traj.iat)))
-        return (f_cum[w:] - f_cum[:-w]) / (a_cum[w:] - a_cum[:-w])
+        span = a_cum[w:] - a_cum[:-w]
+        return np.divide(f_cum[w:] - f_cum[:-w], span, out=np.full(len(span), np.nan),
+                         where=span > 0)
     sel = _select(traj, window)
     total_f = float(np.sum(f.eval(traj.sojourn[sel])))
     total_a = float(np.sum(traj.iat[sel]))
@@ -431,9 +434,15 @@ def _ratio_se(f_vals: np.ndarray, iats: np.ndarray, batches: int = 32) -> tuple[
     """sum f / sum IAT, plus the spread of the ratio over contiguous batches."""
     estimate = float(np.sum(f_vals)) / float(np.sum(iats))
     b = min(batches, len(f_vals))
-    ratios = np.array(
-        [chunk_f.sum() / chunk_a.sum()
-         for chunk_f, chunk_a in zip(np.array_split(f_vals, b), np.array_split(iats, b))]
-    )
+    ratios = _batch_sums(f_vals, b) / _batch_sums(iats, b)
     se = float(np.std(ratios, ddof=1) / np.sqrt(b)) if b > 1 else float("inf")
     return estimate, se
+
+
+def _batch_sums(x: np.ndarray, b: int) -> np.ndarray:
+    """Sums of the b contiguous chunks of np.array_split(x, b): the first
+    len(x) % b chunks are one element longer than the rest."""
+    size, longer = divmod(len(x), b)
+    cut = longer * (size + 1)
+    return np.concatenate((x[:cut].reshape(longer, size + 1).sum(axis=1),
+                           x[cut:].reshape(b - longer, size).sum(axis=1)))

@@ -1,12 +1,14 @@
 """Analytic reward machinery against closed forms, Monte Carlo, and the simulator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
 from qlag import (
     ClosedForm,
@@ -26,12 +28,15 @@ from qlag import (
     expected_wait,
     monte_carlo_reward,
     monte_carlo_wait,
+    optimize,
     reward_exact,
     run_fixed_lag,
     surrogate_reward,
     wait_derivative,
 )
-from qlag.analytics import _closed_form_or_numeric
+from qlag import analytics
+from qlag.analytics import _closed_form_or_numeric, _numeric_rewards, _numeric_waits
+from qlag.distributions import law_for_family
 
 EXP_S = Exponential(1.0)
 EXP_D = Exponential(0.33)
@@ -170,6 +175,50 @@ class TestRewardExact:
         assert abs(ghat - exact) < 3 * se
 
 
+def _uniform_excess(a, b, c, kappa):
+    """E[(X - c)^+] and E[exp(-kappa (X - c)^+)] for X ~ U(a, b)."""
+    m = min(max(c, a), b)
+    ew = ((b - c) ** 2 - (m - c) ** 2) / (2.0 * (b - a))
+    mw = (m - a) / (b - a) + (math.exp(-kappa * (m - c)) - math.exp(-kappa * (b - c))) / (
+        kappa * (b - a)
+    )
+    return ew, mw
+
+
+def _point_mass_pair_by_hand(service, delay, kappa, lag):
+    """(G, E[W]) for the exponential reward when one law is a point mass.
+
+    W = (S_prev - lag - D)^+ is the excess of a uniform over a constant:
+    of S_prev over lag + D for a point-mass delay, and of -D over
+    lag - S_prev for a point-mass service.
+    """
+    if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
+        ew = expected_wait(service, delay, lag, ClosedForm())
+        return reward_exact(service, delay, ExponentialReward(kappa), lag, ClosedForm()), ew
+    if isinstance(delay, Deterministic):
+        ew, mw = _uniform_excess(service.lower, service.upper, lag + delay.value, kappa)
+    else:
+        ew, mw = _uniform_excess(-delay.upper, -delay.lower, lag - service.value, kappa)
+    return service.mgf(-kappa) * mw / (lag + delay.mean + ew), ew
+
+
+POINT_MASS_PAIRS = {
+    "det/uniform": (Deterministic(1.0), Uniform(0.2, 0.8)),
+    "uniform/det": (Uniform(0.0, 2.0), Deterministic(0.4)),
+    "det/det": (Deterministic(1.0), Deterministic(0.5)),
+}
+
+
+@pytest.mark.parametrize("pair", POINT_MASS_PAIRS)
+@pytest.mark.parametrize("lag", [0.0, 0.2, 0.5, 0.8, 1.7])
+def test_point_mass_pairs_match_closed_form(pair, lag):
+    service, delay = POINT_MASS_PAIRS[pair]
+    g, ew = _point_mass_pair_by_hand(service, delay, 0.7, lag)
+    numeric = reward_exact(service, delay, ExponentialReward(0.7), lag, NumericIntegration())
+    assert numeric == pytest.approx(g, abs=1e-9)
+    assert expected_wait(service, delay, lag, NumericIntegration()) == pytest.approx(ew, abs=1e-9)
+
+
 class TestSurrogate:
     def test_frozen_example_values(self):
         # M_S(-1) = 0.5, M_D(1) = 1/0.67, E[W] = 100/133
@@ -258,15 +307,160 @@ def test_closed_form_and_numeric_agree(pair, t_s, t_d, lag, kappa):
     service, delay = CLOSED_FORM_PAIRS[pair](t_s, t_d)
     f = ExponentialReward(kappa)
     closed = reward_exact(service, delay, f, lag, ClosedForm())
-    assert reward_exact(service, delay, f, lag, NumericIntegration()) == pytest.approx(
-        closed, rel=1e-7
-    )
-    assert _closed_form_or_numeric(reward_exact, service, delay, f, lag) == closed
+    numeric = reward_exact(service, delay, f, lag, NumericIntegration())
+    assert numeric == pytest.approx(closed, abs=1e-9)
+    assert numeric == pytest.approx(closed, rel=1e-7)
+    grid = _closed_form_or_numeric(reward_exact, _numeric_rewards, service, delay, f, lags=[lag])
+    assert grid[0] == closed
+    mc = monte_carlo_reward(service, delay, f, lag, 200_000, seed=0)
+    # 1e-12 covers the rounding of a point mass pair, whose batches all agree
+    assert abs(mc.value - closed) <= 5.0 * mc.std_error + 1e-12
 
     numeric_wait = expected_wait(service, delay, lag, NumericIntegration())
     try:
         closed_wait = expected_wait(service, delay, lag, ClosedForm())
     except ClosedFormUnavailableError:
         closed_wait = numeric_wait  # the fallback's answer
+    assert numeric_wait == pytest.approx(closed_wait, abs=1e-9)
     assert numeric_wait == pytest.approx(closed_wait, rel=1e-7, abs=1e-12)
-    assert _closed_form_or_numeric(expected_wait, service, delay, lag) == closed_wait
+    waits = _closed_form_or_numeric(expected_wait, _numeric_waits, service, delay, lags=[lag])
+    assert waits[0] == closed_wait
+
+
+# The analytic benchmark workload's first (t_s, t_d) draw for seeds 1 and 2.
+PINNED_MEANS = {1: (1.0023643249400513, 0.3570278217795561),
+                2: (0.9523224268498633, 0.31790946860484737)}
+
+
+def _pinned_case(key):
+    """(service, delay, reward, grid step) of a PINNED_G entry: the analytic
+    workload's four law/reward pairs, or exp(1) service with a U(0, 0.66)
+    delay and poly(2)."""
+    if key == "exp/unif poly2":
+        return Exponential(1.0), Uniform(0.0, 0.66), PolynomialReward(2.0), 0.2
+    seed, combo = key
+    t_s, t_d = PINNED_MEANS[seed]
+    service_family, delay_family, f = {
+        "tn/tn exp1": ("truncnorm", "truncnorm", ExponentialReward(1.0)),
+        "tn/tn poly2": ("truncnorm", "truncnorm", PolynomialReward(2.0)),
+        "unif/unif poly2": ("uniform", "uniform", PolynomialReward(2.0)),
+        "unif/exp exp1": ("uniform", "exponential", ExponentialReward(1.0)),
+    }[combo]
+    service, delay = law_for_family(service_family, t_s), law_for_family(delay_family, t_d)
+    return service, delay, f, 3.0 * t_s / 15
+
+
+# (best lag, G on the 16 lags 0, step, ..., 15 step), computed by per-lag
+# adaptive quadrature (nested scipy.quad) at NumericIntegration(1e-9).
+PINNED_G = {
+    (1, "tn/tn exp1"): (0.6014185949640307, [
+        0.22452233198383204, 0.25586610465124315, 0.2786426449108404,
+        0.28849105329172575, 0.28458534515908346, 0.2699019953823141,
+        0.24922762384092811, 0.22686433741427908, 0.20562363315579105,
+        0.1869313197455012, 0.17108869747431993, 0.15770244790673868,
+        0.14625891934663243, 0.13636380888835, 0.12772275778548656,
+        0.12011157235977102,
+    ]),
+    (1, "tn/tn poly2"): (0.6014185949640307, [
+        0.1676054473883706, 0.18803747872818874, 0.20311344259842906,
+        0.20961408183674343, 0.20668657508235733, 0.19618724557044395,
+        0.1813698640466228, 0.16525312285762192, 0.14985879521823317,
+        0.13625689718782744, 0.12471078623152783, 0.1149532175966092,
+        0.10661174638862363, 0.0993989554601905, 0.093100279435337,
+        0.08755229799291937,
+    ]),
+    (1, "unif/unif poly2"): (0.6014185949640307, [
+        0.18401242833209241, 0.19880176094096297, 0.20767697299199428,
+        0.21092292388116368, 0.2091896453250338, 0.20326348083752638,
+        0.19387167295494998, 0.18159258018628566, 0.16768752596064576,
+        0.15374599473029346, 0.14091577968949878, 0.12989030680449384,
+        0.1204649398851597, 0.11231491462968149, 0.10519778490999572,
+        0.09892889547159761,
+    ]),
+    (1, "unif/exp exp1"): (0.6014185949640307, [
+        0.23198246133819547, 0.2524101087407455, 0.26482478765880296,
+        0.2695686378679161, 0.26754917826461405, 0.25996969762911515,
+        0.24811652819915644, 0.23324195430235062, 0.21654577904977435,
+        0.19924805551689606, 0.18275849721194773, 0.16845918410482422,
+        0.15623510318468664, 0.14566505651416733, 0.13643460741259528,
+        0.12830427016098322,
+    ]),
+    (2, "tn/tn exp1"): (0.571393456109918, [
+        0.2482221013953026, 0.28232316763854376, 0.30752479929164367,
+        0.3188794186968135, 0.3151273104200459, 0.29926530859332373,
+        0.2765073059681864, 0.2516872703593072, 0.22799472786084538,
+        0.20708501749628394, 0.18936790436687206, 0.17442071028114275,
+        0.16166051669345347, 0.15064005763027957, 0.1410262447530094,
+        0.1325659191237718,
+    ]),
+    (2, "tn/tn poly2"): (0.571393456109918, [
+        0.18367851464323054, 0.20620373050650037, 0.2232391103623816,
+        0.23109251957298457, 0.22853311730203724, 0.21738134962051492,
+        0.20118227419618176, 0.18334982587599524, 0.16619848833396328,
+        0.15098495751170896, 0.1380698276116177, 0.1271716951239929,
+        0.11786812420032723, 0.1098330092311852, 0.10282349253883459,
+        0.09665499368433,
+    ]),
+    (2, "unif/unif poly2"): (0.571393456109918, [
+        0.20131372008337853, 0.21771514810615294, 0.227646079586839,
+        0.23138687198671545, 0.22964050275618092, 0.22328195803370277,
+        0.21314293868524287, 0.19986616504532567, 0.18458917120003787,
+        0.16914414192617092, 0.15490112645227058, 0.14267446529276084,
+        0.13223674952941372, 0.12322211989291759, 0.11535811332237747,
+        0.10843764823879609,
+    ]),
+    (2, "unif/exp exp1"): (0.571393456109918, [
+        0.2567372803014299, 0.27913181905318446, 0.2927091084816975,
+        0.2978200908539075, 0.29545635027286316, 0.28694829355950385,
+        0.2737227123810636, 0.2571669050245492, 0.23860532244331664,
+        0.21938231041216813, 0.20106047163638666, 0.18519035941982517,
+        0.171642284578473, 0.15994136459258937, 0.14973394450315808,
+        0.14075123401217426,
+    ]),
+    "exp/unif poly2": (0.4, [
+        0.2346629857523036, 0.24546564243971497, 0.24587043686172272,
+        0.23945824306530505, 0.22911516787967948, 0.2168699283266218,
+        0.2040226855348334, 0.19134614699416316, 0.1792637505859609,
+        0.1679806617626677, 0.1575716451951864, 0.1480369893680182,
+        0.1393369012954703, 0.13141210623190583, 0.12419586700527203,
+        0.11762076925597831,
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", PINNED_G, ids=str)
+def test_exact_grid_matches_pinned_quadrature(key):
+    service, delay, f, step = _pinned_case(key)
+    best_lag, pinned = PINNED_G[key]
+    grid = optimize(service, delay, f, objective="exact", step=step)
+    assert [p.reward for p in grid.points] == pytest.approx(pinned, abs=1e-9)
+    assert grid.best_lag == best_lag
+    for i in (0, 7, 15):
+        lag = grid.points[i].lag
+        assert reward_exact(service, delay, f, lag, NumericIntegration()) == pytest.approx(
+            pinned[i], abs=1e-9
+        )
+
+
+def test_exact_grid_memory_is_bounded():
+    # exponential service: the inner rule reaches waits far past the h
+    # table's 0.999 quantile, where an unblocked kernel once took gigabytes
+    analytics._reward_after_wait_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = optimize(Exponential(1.0), Uniform(0.0, 0.66), PolynomialReward(2.0),
+                        objective="exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid.points) == 61
+    assert peak < 16 * 2**20
+
+
+def test_rule_order_cap_warns(monkeypatch):
+    monkeypatch.setattr(analytics, "_ORDERS", (2, 4))
+    service, delay = Exponential(1.0), Uniform(0.0, 0.66)
+    with pytest.warns(IntegrationWarning):
+        reward_exact(service, delay, PolynomialReward(2.0), 0.2, NumericIntegration())
+    with pytest.warns(IntegrationWarning):
+        expected_wait(service, delay, 0.2, NumericIntegration())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from qlag import (
     Deterministic,
@@ -235,6 +235,19 @@ def test_truncnorm_samples_stay_in_window():
     spec = TruncatedNormal(0.33, 0.165, 0.0, 0.66)
     draws = spec.sample(substream(5, "tn-win"), 10**5)
     assert draws.min() >= 0.0 and draws.max() <= 0.66
+
+
+def test_truncnorm_upper_quantile_far_in_the_tail():
+    # the window starts 6 sigma above mu: the CDF level of a 1 - 1e-15
+    # quantile rounds to 1 there, and the tail mass gives it instead
+    spec = TruncatedNormal(-3.0, 0.5, 0.0, math.inf)
+    q12, q15 = spec.upper_quantile(), spec.upper_quantile(1e-15)
+    assert spec.ppf(0.999) < q12 < q15 < math.inf
+    # a standard normal tail of eps times the window's mass (eps as rounded in 1 - eps)
+    mass = float(ndtr(-6.0))
+    for q, eps in ((q12, 1e-12), (q15, 1e-15)):
+        tail = (1.0 - (1.0 - eps)) * mass
+        assert (q + 3.0) / 0.5 == pytest.approx(-float(ndtri(tail)), rel=1e-9)
 
 
 NAN, INF = math.nan, math.inf

@@ -1,6 +1,7 @@
 """Trajectory generation: the waiting-time recursion and reward estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_sliding_window_series():
     assert series == pytest.approx(
         [(e + e15) / 0.5, (e15 + e15) / 1.5], rel=1e-12
     )
+
+
+def test_width_one_sliding_window_is_nan_over_job_zero():
+    # job 0 has no inter-arrival time: its width-1 window spans no time
+    traj = run_fixed_lag(Deterministic(1.0), Deterministic(0.5), 0.0, 3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = estimate_reward(traj, F1, Window.sliding(1))
+    assert math.isnan(series[0])
+    assert series[1:] == pytest.approx([math.exp(-1.5) / 0.5, math.exp(-1.5) / 1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, b", [(100_017, 32), (100_000, 32), (1003, 32), (31, 31), (64, 7), (5, 2)]
+)
+def test_batch_sums_equal_array_split_chunk_sums(n, b):
+    x = substream(4, "batch-sums").exponential(size=n)
+    expected = np.array([chunk.sum() for chunk in np.array_split(x, b)])
+    assert np.array_equal(simulator._batch_sums(x, b), expected)
 
 
 def test_window_errors():
