@@ -17,8 +17,7 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
+import scipy
 
 from .distributions import (
     RULE_TAIL_EPS,
@@ -215,7 +214,7 @@ def _build_reward_after_wait(service: DistributionSpec, f, tol: float):
     w_mid = service.ppf(0.999)
     w_max = service.upper_quantile(RULE_TAIL_EPS)
     w_grid = np.concatenate((np.linspace(0.0, w_mid, 2048), np.linspace(w_mid, w_max, 257)[1:]))
-    spline = CubicSpline(w_grid, quad_h(w_grid))
+    spline = scipy.interpolate.CubicSpline(w_grid, quad_h(w_grid))
 
     def h(w):
         w = np.asarray(w, dtype=float)
@@ -269,7 +268,7 @@ def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
     warnings.warn(
         f"the Gauss-Legendre rule has not settled within {tol:g} by order "
         f"{_ORDERS[-1]}; returning that order's value",
-        integrate.IntegrationWarning,
+        scipy.integrate.IntegrationWarning,
         stacklevel=3,
     )
     return terms

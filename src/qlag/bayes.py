@@ -213,6 +213,8 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, float]:
     n = len(s)
     rho = 1.0 - 1.0 / _MEMORY
     weights = (1.0 - rho) * rho ** np.arange(_BLOCK, -1.0, -1.0)
+    # fold length k -> (a (5, k) row buffer, rho**k, the last k weights)
+    folds = {}
     lags = np.empty(n)
     wait = np.zeros(n)
     means = np.zeros(5)
@@ -220,19 +222,24 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, float]:
     folded = 0
 
     def step(lo: int, hi: int) -> float:
-        nonlocal means
+        k = hi - lo
+        if k not in folds:
+            folds[k] = (np.empty((5, k)), rho ** k, weights[-k:])
+        obs, decay, fold_weights = folds[k]
         w = wait[lo:hi]
         busy = w > 0
         sojourn = w + s[lo:hi]
-        obs = np.stack((
-            f.eval(sojourn),
-            lags[lo:hi] + d[lo:hi] + w,
-            -f.deriv(sojourn) * busy,
-            ~busy,
-            s[lo:hi],
-        ))
-        means = rho ** (hi - lo) * means + obs @ weights[lo - hi:]
-        reward, cycle, d_reward, d_cycle, service = means
+        # rows N, C, dN = -f'(W + S) 1{busy}, dC = 1{idle}, S
+        obs[0] = f.eval(sojourn)
+        np.add(lags[lo:hi], d[lo:hi], out=obs[1])
+        obs[1] += w
+        np.negative(f.deriv(sojourn), out=obs[2])
+        obs[2] *= busy
+        obs[3] = ~busy
+        obs[4] = s[lo:hi]
+        np.multiply(means, decay, out=means)
+        np.add(means, obs @ fold_weights, out=means)
+        reward, cycle, d_reward, d_cycle, service = means.tolist()
         if reward <= 0 or cycle <= 0:
             return lag
         scale = service / (1.0 - rho ** hi)
@@ -245,7 +252,10 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, float]:
         end = min(start + _BLOCK, n)
         lags[start:end] = lag
         first = max(start, 1)
-        wait[first:end] = np.maximum(s[first - 1:end - 1] - lag - d[first:end], 0.0)
+        recursion = wait[first:end]  # max(S_prev - lag - D, 0), in place
+        np.subtract(s[first - 1:end - 1], lag, out=recursion)
+        recursion -= d[first:end]
+        np.maximum(recursion, 0.0, out=recursion)
     return lags, step(folded, n)
 
 

@@ -17,8 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
+import scipy
 
 from .streams import substream
 
@@ -107,7 +106,7 @@ class DistributionSpec(ABC):
         lo, hi = self.support()
         hi = min(hi, self.upper_quantile())
         points = sorted({b for b in breaks if lo < b < hi and math.isfinite(b)})
-        val, _ = integrate.quad(
+        val, _ = scipy.integrate.quad(
             lambda x: float(g(x)) * float(self.pdf(x)),
             lo,
             hi,
@@ -294,7 +293,7 @@ class TruncatedNormal(DistributionSpec):
     @cached_property
     def _z_mass(self) -> float:
         a, b = self._std_bounds
-        return float(ndtr(b) - ndtr(a))
+        return float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
 
     @property
     def mean(self) -> float:
@@ -304,14 +303,14 @@ class TruncatedNormal(DistributionSpec):
     def sample(self, rng, size=None):
         # inverse CDF on the truncated quantile range: robust for any window
         a, b = self._std_bounds
-        u = rng.uniform(float(ndtr(a)), float(ndtr(b)), size)
-        x = self.mu + self.sigma * ndtri(u)
+        u = rng.uniform(float(scipy.special.ndtr(a)), float(scipy.special.ndtr(b)), size)
+        x = self.mu + self.sigma * scipy.special.ndtri(u)
         return np.clip(x, self.lower, self.upper) if size is not None else float(
             min(max(x, self.lower), self.upper)
         )
 
     def mgf(self, a):
-        val, _ = integrate.quad(
+        val, _ = scipy.integrate.quad(
             lambda x: math.exp(a * x) * self.pdf(x),
             self.lower,
             self.upper,
@@ -326,11 +325,12 @@ class TruncatedNormal(DistributionSpec):
 
     def ppf(self, q):
         a, b = self._std_bounds
-        fa, fb = float(ndtr(a)), float(ndtr(b))
-        z = float(ndtri(fa + q * (fb - fa)))
+        fa, fb = float(scipy.special.ndtr(a)), float(scipy.special.ndtr(b))
+        z = float(scipy.special.ndtri(fa + q * (fb - fa)))
         if z == math.inf:  # the CDF level rounded to 1: solve for the upper tail mass
-            tail_b = float(ndtr(-b))
-            z = -float(ndtri((1.0 - q) * (float(ndtr(-a)) - tail_b) + tail_b))
+            tail_b = float(scipy.special.ndtr(-b))
+            upper_tail = (1.0 - q) * (float(scipy.special.ndtr(-a)) - tail_b) + tail_b
+            z = -float(scipy.special.ndtri(upper_tail))
         x = self.mu + self.sigma * z
         return min(max(x, self.lower), self.upper)
 
@@ -345,11 +345,8 @@ class TruncatedNormal(DistributionSpec):
         x = np.asarray(x, dtype=float)
         a, _ = self._std_bounds
         z = (np.clip(x, self.lower, self.upper) - self.mu) / self.sigma
-        out = np.where(
-            x < self.lower,
-            0.0,
-            np.where(x > self.upper, 1.0, (ndtr(z) - ndtr(a)) / self._z_mass),
-        )
+        mass = (scipy.special.ndtr(z) - scipy.special.ndtr(a)) / self._z_mass
+        out = np.where(x < self.lower, 0.0, np.where(x > self.upper, 1.0, mass))
         return out if out.ndim else float(out)
 
     def with_mean(self, target):
@@ -492,8 +489,8 @@ def prob_diff_exceeds(
     breaks = sorted({t for t in (s_lo - x, s_hi - x) if lo < t < hi and math.isfinite(t)})
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            val, err = integrate.quad(
+            warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+            val, err = scipy.integrate.quad(
                 lambda t: float(service.sf(x + t)) * float(delay.pdf(t)),
                 lo,
                 hi,

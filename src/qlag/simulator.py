@@ -86,14 +86,19 @@ def server_state_at_arrival(job: JobRecord) -> str:
     return state_from_wait(job.wait)
 
 
+def _check_means(*means: float) -> None:
+    # written so that NaN fails too: nan <= 0 is false
+    if not all(0 < m < math.inf for m in means):
+        raise InvalidScheduleError(f"schedule means must be positive and finite, got {means}")
+
+
 @dataclass(frozen=True)
 class Stationary:
     t_s: float
     t_d: float
 
     def __post_init__(self):
-        if self.t_s <= 0 or self.t_d <= 0:
-            raise InvalidScheduleError("stationary means must be positive")
+        _check_means(self.t_s, self.t_d)
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,7 @@ class GradualLinear:
     over_jobs: int
 
     def __post_init__(self):
-        for v in (self.t_s_start, self.t_s_end, self.t_d_start, self.t_d_end):
-            if v <= 0:
-                raise InvalidScheduleError("schedule means must be positive")
+        _check_means(self.t_s_start, self.t_s_end, self.t_d_start, self.t_d_end)
         if self.over_jobs < 2:
             raise InvalidScheduleError("gradual ramp needs at least 2 jobs")
 
@@ -126,8 +129,7 @@ class AbruptPiecewise:
         for length, t_s, t_d in self.segments:
             if length <= 0:
                 raise InvalidScheduleError("segment lengths must be positive")
-            if t_s <= 0 or t_d <= 0:
-                raise InvalidScheduleError("schedule means must be positive")
+            _check_means(t_s, t_d)
 
     def total_jobs(self) -> int:
         return sum(length for length, _, _ in self.segments)

@@ -10,9 +10,12 @@ from qlag import (
     BayesConfig,
     Exponential,
     ExponentialReward,
+    GradualLinear,
+    PolynomialReward,
     PosteriorState,
     STATE_BUSY,
     STATE_IDLE,
+    Uniform,
     Window,
     draw_lag,
     run_adaptive,
@@ -269,3 +272,102 @@ def test_config_rejects_non_finite(field, value):
 def test_posterior_rejects_non_finite(alpha, beta):
     with pytest.raises(ValueError):
         PosteriorState(alpha, beta)
+
+
+def _reference_gradient_lags(s, d, f):
+    """The gradient learner as first written: one np.stack of the fold's
+    observation rows per step, reduced by ``obs @ weights``. The library's
+    loop must reproduce it bit for bit."""
+    n = len(s)
+    rho = 1.0 - 1.0 / bayes._MEMORY
+    weights = (1.0 - rho) * rho ** np.arange(bayes._BLOCK, -1.0, -1.0)
+    lags = np.empty(n)
+    wait = np.zeros(n)
+    means = np.zeros(5)
+    lag = 0.0
+    folded = 0
+
+    def step(lo, hi):
+        nonlocal means
+        w = wait[lo:hi]
+        busy = w > 0
+        sojourn = w + s[lo:hi]
+        obs = np.stack((
+            f.eval(sojourn),
+            lags[lo:hi] + d[lo:hi] + w,
+            -f.deriv(sojourn) * busy,
+            ~busy,
+            s[lo:hi],
+        ))
+        means = rho ** (hi - lo) * means + obs @ weights[lo - hi:]
+        reward, cycle, d_reward, d_cycle, service = means
+        if reward <= 0 or cycle <= 0:
+            return lag
+        scale = service / (1.0 - rho ** hi)
+        return max(lag + bayes._STEP * scale * scale * (d_reward / reward - d_cycle / cycle), 0.0)
+
+    for start in range(0, n, bayes._BLOCK):
+        if start - 1 > folded:
+            lag = step(folded, start - 1)
+            folded = start - 1
+        end = min(start + bayes._BLOCK, n)
+        lags[start:end] = lag
+        first = max(start, 1)
+        wait[first:end] = np.maximum(s[first - 1:end - 1] - lag - d[first:end], 0.0)
+    return lags, step(folded, n)
+
+
+class TestGradientOracle:
+    """run_adaptive's gradient rule against the reference loop, compared
+    with ==: the same lags, final lag, waits and reward to the last bit."""
+
+    CASES = {
+        "A": (Exponential(1.0), Exponential(0.33)),
+        "B": (Exponential(1.0), Uniform(0.0, 0.66)),
+        "C": (Uniform(0.0, 2.0), Uniform(0.0, 0.66)),
+        "D": (Uniform(0.0, 2.0), Exponential(0.33)),
+    }
+    # under exp(0.01) the optimum is zero lag and the learner stays clipped
+    # there, so those cases pin the clip; the other two move the lag
+    REWARDS = {
+        "exp1": ExponentialReward(1.0),
+        "exp0.01": ExponentialReward(0.01),
+        "poly2": PolynomialReward(2.0),
+    }
+
+    @staticmethod
+    def _assert_matches_reference(monkeypatch, service, delay, schedule, f, n, seed, reporting):
+        def run():
+            return run_adaptive(service, delay, schedule, f, n=n, seed=seed, reporting=reporting)
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(bayes, "_gradient_lags", _reference_gradient_lags)
+            want = run()
+        assert np.array_equal(got.lags, want.lags)
+        assert got.lag_estimate == want.lag_estimate
+        assert np.array_equal(got.trajectory.wait, want.trajectory.wait)
+        assert got.reward == want.reward
+
+    @pytest.mark.parametrize("reward", list(REWARDS))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cases_and_rewards(self, monkeypatch, case, reward):
+        service, delay = self.CASES[case]
+        for seed in (1, 2, 3):
+            self._assert_matches_reference(monkeypatch, service, delay, None,
+                                           self.REWARDS[reward], 20_000, seed,
+                                           Window.last_k(5000))
+
+    def test_every_short_run(self, monkeypatch):
+        # n = 2..40 covers every fold length the final step can see (1..17)
+        service, delay = self.CASES["A"]
+        for n in range(2, 41):
+            self._assert_matches_reference(monkeypatch, service, delay, None, F1, n, 5,
+                                           Window.all())
+
+    def test_gradual_schedule(self, monkeypatch):
+        schedule = GradualLinear(1.0, 0.5, 0.33, 0.1667, 10_000)
+        service, delay = self.CASES["A"]
+        for f in self.REWARDS.values():
+            self._assert_matches_reference(monkeypatch, service, delay, schedule, f,
+                                           20_000, 4, Window.last_k(5000))

@@ -1,6 +1,7 @@
 """CLI dispatch: artifacts, exit codes, determinism, help coverage."""
 
 import json
+import math
 
 import pytest
 
@@ -241,6 +242,23 @@ def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, 
                 "--set", override]) == EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["field"] == field
+
+
+@pytest.mark.parametrize("command, base, schedule", [
+    ("simulate", {**_BAYES, "n": 50}, {"kind": "stationary", "t_s": math.nan, "t_d": 0.33}),
+    ("simulate", {**_BAYES, "n": 50}, {"kind": "stationary", "t_s": 1.0, "t_d": math.inf}),
+    ("bayes", _BAYES, {"kind": "gradual", "t_s_start": 1.0, "t_s_end": math.nan,
+                       "t_d_start": 0.3, "t_d_end": 0.3, "over_jobs": 100}),
+    ("mean-shift", _MEAN_SHIFT, {"kind": "abrupt",
+                                 "segments": [[1000, 1.0, 0.33], [1000, 0.5, math.nan]]}),
+])
+def test_non_finite_schedule_mean_exits_config(tmp_path, capsys, command, base, schedule):
+    cfg = write_config(tmp_path, {**base, "schedule": schedule})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == "schedule"
+    assert not (out / "summary.json").exists()
 
 
 def test_region_scan_command(tmp_path):

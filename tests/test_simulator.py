@@ -280,6 +280,19 @@ class TestSchedules:
         assert ts.tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
         assert td.tolist() == [0.33, 0.33, 0.33, 0.1667, 0.1667]
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: Stationary(bad, 0.33),
+        lambda bad: Stationary(1.0, bad),
+        lambda bad: GradualLinear(1.0, bad, 0.3, 0.3, 100),
+        lambda bad: GradualLinear(1.0, 0.5, 0.3, bad, 100),
+        lambda bad: AbruptPiecewise(((100, 1.0, bad),)),
+        lambda bad: AbruptPiecewise(((100, 1.0, 0.33), (100, bad, 0.33))),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_means_must_be_positive_and_finite(self, make, bad):
+        with pytest.raises(InvalidScheduleError):
+            make(bad)
+
     def test_abrupt_too_short_raises(self):
         sched = AbruptPiecewise(((3, 1.0, 0.33),))
         with pytest.raises(InvalidScheduleError):
