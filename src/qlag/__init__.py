@@ -71,7 +71,6 @@ from .simulator import (
     EmptyWindowError,
     GradualLinear,
     InvalidScheduleError,
-    JobRecord,
     ParameterError,
     ParamSchedule,
     STATE_BUSY,
@@ -82,7 +81,6 @@ from .simulator import (
     estimate_reward,
     estimate_reward_se,
     run_fixed_lag,
-    server_state_at_arrival,
     state_from_wait,
     sweep_lags,
 )

@@ -49,9 +49,10 @@ from .simulator import (
     Trajectory,
     Window,
     _draw,
-    assemble_trajectory,
+    _trajectory,
     estimate_reward,
     state_from_wait,
+    wait_step,
 )
 from .streams import substream
 
@@ -168,7 +169,7 @@ class AdaptiveResult:
     after each job. Under the ``"gradient"`` rule it is the lag the learner
     would apply next, ``posterior`` is the untouched prior with
     ``updates_applied`` counting the jobs folded into the gradient, and
-    ``alphas``/``betas`` repeat the prior.
+    ``alphas``/``betas`` are None: that rule keeps no belief.
     """
 
     trajectory: Trajectory
@@ -176,39 +177,44 @@ class AdaptiveResult:
     reward: Union[float, np.ndarray]
     reporting: Window
     lags: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
+    alphas: Optional[np.ndarray]
+    betas: Optional[np.ndarray]
     lag_estimate: float
 
 
 def _gamma_lags(s: np.ndarray, d: np.ndarray, cfg: BayesConfig, rng: np.random.Generator):
-    """The Gamma-state loop: one posterior draw and one update per job."""
+    """The Gamma-state loop: one posterior draw and one update per job.
+    Each lag depends on the state the job before found, so the waits are
+    stepped one scalar job at a time."""
     n = len(s)
     post = PosteriorState(cfg.alpha0, cfg.beta0)
     lags = np.empty(n)
+    wait = np.zeros(n)
     alphas = np.empty(n)
     betas = np.empty(n)
     prev_state: Optional[str] = None
     for j in range(n):
         t = draw_lag(post, rng)
-        wait = 0.0 if j == 0 else max(float(s[j - 1]) - t - float(d[j]), 0.0)
-        state = state_from_wait(wait)
+        if j > 0:
+            wait[j] = max(float(s[j - 1]) - t - float(d[j]), 0.0)
+        state = state_from_wait(wait[j])
         post = update(post, t, state, prev_state, cfg)
         lags[j] = t
         alphas[j] = post.alpha
         betas[j] = post.beta
         prev_state = state
-    return lags, alphas, betas, post
+    return lags, wait, alphas, betas, post
 
 
-def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, float]:
+def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndarray, float]:
     """Renewal-reward gradient ascent on the lag, starting from zero lag.
 
     Job j's lag is set when job j-1 enters service, so it may use jobs
     0..j-2 only. At each block start the jobs completed since the last step
     are folded into the running means of (N, C, dN, dC, S), each job's
     weight decaying by a factor rho per later job, and the lag takes one
-    step. Returns the per-job lags and the lag after folding every job.
+    step. Returns the per-job lags and waits, and the lag after folding
+    every job.
     """
     n = len(s)
     rho = 1.0 - 1.0 / _MEMORY
@@ -252,11 +258,8 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, float]:
         end = min(start + _BLOCK, n)
         lags[start:end] = lag
         first = max(start, 1)
-        recursion = wait[first:end]  # max(S_prev - lag - D, 0), in place
-        np.subtract(s[first - 1:end - 1], lag, out=recursion)
-        recursion -= d[first:end]
-        np.maximum(recursion, 0.0, out=recursion)
-    return lags, step(folded, n)
+        wait_step(s[first - 1:end - 1], lag, d[first:end], out=wait[first:end])
+    return lags, wait, step(folded, n)
 
 
 def run_adaptive(
@@ -283,17 +286,16 @@ def run_adaptive(
     s, d = _draw(service, delay, n, schedule, seed)
 
     if cfg.rule == "gamma":
-        lags, alphas, betas, post = _gamma_lags(s, d, cfg, substream(seed, "posterior"))
+        lags, wait, alphas, betas, post = _gamma_lags(s, d, cfg, substream(seed, "posterior"))
         lag_estimate = post.mean_lag
         description = "adaptive gamma-posterior lag"
     else:
-        lags, lag_estimate = _gradient_lags(s, d, f)
+        lags, wait, lag_estimate = _gradient_lags(s, d, f)
         post = PosteriorState(cfg.alpha0, cfg.beta0, updates_applied=n)
-        alphas = np.full(n, cfg.alpha0)
-        betas = np.full(n, cfg.beta0)
+        alphas = betas = None
         description = "adaptive renewal-reward gradient lag"
 
-    traj = assemble_trajectory(s, d, lags, seed, description)
+    traj = _trajectory(s, d, wait, lags, seed, description)
     reward = estimate_reward(traj, f, reporting)
     return AdaptiveResult(traj, post, reward, reporting, lags, alphas, betas, lag_estimate)
 
@@ -302,7 +304,8 @@ def adaptive_log_to_csv(result: AdaptiveResult, f, path) -> None:
     """Per-job log: index,lag_drawn,alpha,beta,state,reward_window.
 
     lag_drawn is the lag the job was called with; alpha and beta follow
-    ``result.alphas``/``result.betas`` (the prior, under the gradient rule).
+    ``result.alphas``/``result.betas`` and are left empty under the gradient
+    rule, which keeps no belief.
     reward_window is the rolling estimate over the trailing window of the
     reporting size, left empty until enough jobs have accumulated.
     """
@@ -311,14 +314,17 @@ def adaptive_log_to_csv(result: AdaptiveResult, f, path) -> None:
     width = result.reporting.size if result.reporting.kind != "all" else n
     windowed = estimate_reward(traj, f, Window.sliding(width))
 
+    def belief(values, j):
+        return "" if values is None else fmt_float(values[j])
+
     def rows():
         for j in range(n):
             ratio = windowed[j + 1 - width] if j + 1 >= width else math.nan
             yield [
                 str(j + 1),
                 fmt_float(result.lags[j]),
-                fmt_float(result.alphas[j]),
-                fmt_float(result.betas[j]),
+                belief(result.alphas, j),
+                belief(result.betas, j),
                 STATE_BUSY if traj.busy[j] else STATE_IDLE,
                 fmt_float(ratio) if math.isfinite(ratio) else "",
             ]

@@ -28,6 +28,7 @@ from .conditions import (
 )
 from .config import (
     ConfigError,
+    _integer,
     parse_distribution,
     parse_experiment,
     parse_reward,
@@ -201,14 +202,19 @@ def _window_from(cfg: dict, key: str, default: Window) -> Window:
     return parse_window(cfg[key], key)
 
 
-def _scalar(cfg: dict, key: str, cast, default=None):
-    """cfg[key] converted by cast, or default when absent; a bad value names key."""
+def _float_field(cfg: dict, key: str, default=None):
+    """float(cfg[key]), or default when absent; a bad value names key."""
     if key not in cfg:
         return default
     try:
-        return cast(cfg[key])
+        return float(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from exc
+
+
+def _integer_field(cfg: dict, key: str, default: int) -> int:
+    """cfg[key] as a JSON integer (not a bool or a float), or default when absent."""
+    return _integer(cfg, key, "") if key in cfg else default
 
 
 def _run_error(exc: ValueError, window: str, fallback: str) -> ConfigError:
@@ -245,10 +251,8 @@ def _bayes_config(cfg: dict) -> BayesConfig:
 def _cmd_simulate(cfg: dict, out: _OutputDir, seed: int) -> int:
     service = parse_distribution(cfg.get("service"), "service")
     delay = parse_distribution(cfg.get("delay"), "delay")
-    if "n" not in cfg:
-        raise ConfigError("n", "missing required field")
-    n = _scalar(cfg, "n", int)
-    lag = _scalar(cfg, "lag", float, 0.0)
+    n = _integer(cfg, "n", "")
+    lag = _float_field(cfg, "lag", 0.0)
     schedule = parse_schedule(cfg.get("schedule"))
     window = _window_from(cfg, "window", Window.all())
     f = parse_reward(cfg["reward"]) if cfg.get("reward") is not None else None
@@ -281,14 +285,14 @@ def _cmd_grid_search(cfg: dict, out: _OutputDir, seed: int) -> int:
             service,
             delay,
             f,
-            lag_min=_scalar(cfg, "lag_min", float, 0.0),
-            lag_max=_scalar(cfg, "lag_max", float),
-            step=_scalar(cfg, "step", float),
-            n=_scalar(cfg, "n", int, 100_000),
+            lag_min=_float_field(cfg, "lag_min", 0.0),
+            lag_max=_float_field(cfg, "lag_max"),
+            step=_float_field(cfg, "step"),
+            n=_integer_field(cfg, "n", 100_000),
             seed=seed,
             objective=str(cfg.get("objective", "simulated")),
             schedule=schedule,
-            burn_in=_scalar(cfg, "burn_in", int, 1000),
+            burn_in=_integer_field(cfg, "burn_in", 1000),
         )
     except ConfigError:
         raise
@@ -312,9 +316,7 @@ def _cmd_bayes(cfg: dict, out: _OutputDir, seed: int) -> int:
     service = parse_distribution(cfg.get("service"), "service")
     delay = parse_distribution(cfg.get("delay"), "delay")
     f = parse_reward(cfg.get("reward"), "reward")
-    if "n" not in cfg:
-        raise ConfigError("n", "missing required field")
-    n = _scalar(cfg, "n", int)
+    n = _integer(cfg, "n", "")
     reporting = _window_from(cfg, "reporting", Window.last_k(5000))
     schedule = parse_schedule(cfg.get("schedule"))
     bayes_cfg = _bayes_config(cfg)
@@ -423,7 +425,7 @@ def _cmd_region_scan(cfg: dict, out: _OutputDir, seed: int) -> int:
         if key not in cfg:
             raise ConfigError(key, "missing required field")
     ts, td = _grid_values(cfg, "ts"), _grid_values(cfg, "td")
-    kappa = _scalar(cfg, "kappa", float)
+    kappa = _float_field(cfg, "kappa")
     try:
         scan = region_scan(
             ts,
@@ -446,8 +448,8 @@ def _cmd_mean_shift(cfg: dict, out: _OutputDir, seed: int) -> int:
     delay = parse_distribution(cfg.get("delay"), "delay")
     reward = parse_reward(cfg.get("reward"), "reward")
     schedule = parse_schedule(cfg["schedule"], "schedule")
-    n = _scalar(cfg, "n", int)
-    width = _scalar(cfg, "width", int, 2000)
+    n = _integer(cfg, "n", "")
+    width = _integer_field(cfg, "width", 2000)
     bayes_cfg = _bayes_config(cfg)
     try:
         base = ExperimentSpec(
@@ -473,7 +475,7 @@ def _cmd_suite(cfg: dict, out: _OutputDir, seed: int) -> int:
     if not isinstance(raw_cases, list) or not raw_cases:
         raise ConfigError("cases", "expected a nonempty list of experiment objects")
     specs = [parse_experiment(case, f"cases[{i}]") for i, case in enumerate(raw_cases)]
-    rows = run_suite(specs, grid_n=int(cfg.get("grid_n", 100_000)))
+    rows = run_suite(specs, grid_n=_integer_field(cfg, "grid_n", 100_000))
     suite_to_csv(rows, out.target("suite.csv"))
     return EXIT_OK
 

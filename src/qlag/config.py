@@ -33,11 +33,13 @@ class ConfigError(ValueError):
 
 
 def _require(obj: dict, key: str, path: str, kinds) -> Any:
+    """obj[key] if it is one of kinds and not a bool; path "" names a top-level key."""
+    field = f"{path}.{key}" if path else key
     if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(field, "missing required field")
     value = obj[key]
     if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected {kinds}, got {type(value).__name__}")
+        raise ConfigError(field, f"expected {kinds}, got {type(value).__name__}")
     return value
 
 

@@ -10,8 +10,9 @@ lags for free (the sampled service/delay streams never depend on the lag).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .streams import substream
 __all__ = [
     "STATE_IDLE",
     "STATE_BUSY",
-    "JobRecord",
     "Stationary",
     "GradualLinear",
     "AbruptPiecewise",
@@ -37,10 +37,10 @@ __all__ = [
     "assemble_trajectory",
     "schedule_means",
     "sample_jobs",
+    "wait_step",
     "estimate_reward",
     "estimate_reward_se",
     "state_from_wait",
-    "server_state_at_arrival",
     "DEFAULT_BURN_IN",
 ]
 
@@ -71,25 +71,17 @@ def state_from_wait(wait: float) -> str:
     return STATE_BUSY if wait > 0 else STATE_IDLE
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    index: int
-    service: float
-    delay: float
-    wait: float
-    sojourn: float
-    iat: float
-    server_state_at_arrival: str
-
-
-def server_state_at_arrival(job: JobRecord) -> str:
-    return state_from_wait(job.wait)
-
-
 def _check_means(*means: float) -> None:
     # written so that NaN fails too: nan <= 0 is false
     if not all(0 < m < math.inf for m in means):
         raise InvalidScheduleError(f"schedule means must be positive and finite, got {means}")
+
+
+def _job_count(value, what: str, error: type) -> int:
+    """value as an int if it is a positive integer (numpy integers count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class GradualLinear:
 
     def __post_init__(self):
         _check_means(self.t_s_start, self.t_s_end, self.t_d_start, self.t_d_end)
-        if self.over_jobs < 2:
+        if _job_count(self.over_jobs, "over_jobs", InvalidScheduleError) < 2:
             raise InvalidScheduleError("gradual ramp needs at least 2 jobs")
 
 
@@ -127,8 +119,7 @@ class AbruptPiecewise:
         if not self.segments:
             raise InvalidScheduleError("abrupt schedule needs at least one segment")
         for length, t_s, t_d in self.segments:
-            if length <= 0:
-                raise InvalidScheduleError("segment lengths must be positive")
+            _job_count(length, "segment length", InvalidScheduleError)
             _check_means(t_s, t_d)
 
     def total_jobs(self) -> int:
@@ -203,8 +194,9 @@ class Window:
     def __post_init__(self):
         if self.kind not in ("all", "last_k", "sliding"):
             raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.kind != "all" and self.size < 1:
-            raise EmptyWindowError(f"{self.kind} window needs a positive size")
+        if self.kind != "all":
+            object.__setattr__(self, "size",
+                               _job_count(self.size, f"{self.kind} window size", EmptyWindowError))
 
     @classmethod
     def all(cls) -> "Window":
@@ -212,18 +204,18 @@ class Window:
 
     @classmethod
     def last_k(cls, k: int) -> "Window":
-        return cls("last_k", int(k))
+        return cls("last_k", k)
 
     @classmethod
     def sliding(cls, width: int) -> "Window":
-        return cls("sliding", int(width))
+        return cls("sliding", width)
 
 
 class Trajectory:
     """Array-backed per-job records of one run.
 
-    Columns are kept as flat float arrays (a million JobRecord objects would
-    dwarf the simulation itself); `job(i)` materializes a single record.
+    Columns are kept as flat float arrays (a million per-job objects would
+    dwarf the simulation itself); ``busy`` marks the jobs that had to wait.
     """
 
     __slots__ = ("service", "delay", "wait", "sojourn", "iat", "lag", "busy",
@@ -243,24 +235,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.service)
 
-    def job(self, index: int) -> JobRecord:
-        """Record for 1-based job index."""
-        if not 1 <= index <= len(self):
-            raise IndexError(f"job index {index} outside 1..{len(self)}")
-        i = index - 1
-        return JobRecord(
-            index=index,
-            service=float(self.service[i]),
-            delay=float(self.delay[i]),
-            wait=float(self.wait[i]),
-            sojourn=float(self.sojourn[i]),
-            iat=float(self.iat[i]),
-            server_state_at_arrival=state_from_wait(self.wait[i]),
-        )
-
-    def __iter__(self) -> Iterator[JobRecord]:
-        return (self.job(i) for i in range(1, len(self) + 1))
-
     def to_csv(self, path) -> None:
         header = ["index", "service", "delay", "wait", "sojourn", "iat", "state"]
         rows = (
@@ -278,6 +252,23 @@ class Trajectory:
         write_csv(path, header, rows)
 
 
+def wait_step(s_prev, lag, d, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The wait recursion max((S_prev - lag) - D, 0) over broadcast arrays,
+    written into ``out`` when given."""
+    out = np.subtract(s_prev, lag, out=out)
+    np.subtract(out, d, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _trajectory(service, delay, wait, lags, seed, description) -> Trajectory:
+    """The trajectory of a run whose waits are known: IAT_1 = 0 (the first
+    job has, by convention, no inter-arrival time) and, for j >= 2,
+    IAT_j = W_{j-1} + lag_j + D_j."""
+    iat = np.zeros(len(wait))
+    iat[1:] = wait[:-1] + lags[1:] + delay[1:]
+    return Trajectory(service, delay, wait, iat, lags, seed, description)
+
+
 def assemble_trajectory(
     service_draws: np.ndarray,
     delay_draws: np.ndarray,
@@ -287,16 +278,12 @@ def assemble_trajectory(
 ) -> Trajectory:
     """Build a trajectory from sampled times and the per-job applied lag.
 
-    W_1 = 0 (the first job finds an empty system and, by convention, has no
-    inter-arrival time); for j >= 2,
-    W_j = max(S_{j-1} - lag_j - D_j, 0) and IAT_j = W_{j-1} + lag_j + D_j.
+    W_1 = 0 (the first job finds an empty system); for j >= 2,
+    W_j = max(S_{j-1} - lag_j - D_j, 0).
     """
-    n = len(service_draws)
-    wait = np.zeros(n)
-    iat = np.zeros(n)
-    wait[1:] = np.maximum(service_draws[:-1] - lags[1:] - delay_draws[1:], 0.0)
-    iat[1:] = wait[:-1] + lags[1:] + delay_draws[1:]
-    return Trajectory(service_draws, delay_draws, wait, iat, lags, seed, description)
+    wait = np.zeros(len(service_draws))
+    wait_step(service_draws[:-1], lags[1:], delay_draws[1:], out=wait[1:])
+    return _trajectory(service_draws, delay_draws, wait, lags, seed, description)
 
 
 def _draw(service, delay, n, schedule, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -367,9 +354,10 @@ def sweep_lags(
     # and -inf makes its wait max(-inf, 0) = 0
     s_prev = s[first - 2:n - 1] if first >= 2 else np.concatenate(([-np.inf], s[:-1]))
     d_tail = d[first - 1:]
+    wait = np.empty(len(d_tail))  # jobs first-1..n-1, reused by every lag
     out = []
     for lag in lags:
-        wait = np.maximum((s_prev - lag) - d_tail, 0.0)  # jobs first-1..n-1
+        wait_step(s_prev, lag, d_tail, out=wait)
         iat = wait[:-1] + lag
         iat += d[first:]  # (W_{j-1} + lag) + D_j for jobs first..n-1
         if burn_in == 0:  # job 0 has no inter-arrival time
@@ -408,9 +396,7 @@ def estimate_reward(traj: Trajectory, f, window: Window = Window.all()):
         return np.divide(f_cum[w:] - f_cum[:-w], span, out=np.full(len(span), np.nan),
                          where=span > 0)
     sel = _select(traj, window)
-    total_f = float(np.sum(f.eval(traj.sojourn[sel])))
-    total_a = float(np.sum(traj.iat[sel]))
-    return total_f / total_a
+    return _ratio(f.eval(traj.sojourn[sel]), traj.iat[sel])
 
 
 def estimate_reward_se(
@@ -432,13 +418,17 @@ def estimate_reward_se(
     return _ratio_se(f_vals, traj.iat[sel], batches)
 
 
+def _ratio(f_vals: np.ndarray, iats: np.ndarray) -> float:
+    """The renewal-reward ratio sum f / sum IAT."""
+    return float(np.sum(f_vals)) / float(np.sum(iats))
+
+
 def _ratio_se(f_vals: np.ndarray, iats: np.ndarray, batches: int = 32) -> tuple[float, float]:
     """sum f / sum IAT, plus the spread of the ratio over contiguous batches."""
-    estimate = float(np.sum(f_vals)) / float(np.sum(iats))
     b = min(batches, len(f_vals))
     ratios = _batch_sums(f_vals, b) / _batch_sums(iats, b)
     se = float(np.std(ratios, ddof=1) / np.sqrt(b)) if b > 1 else float("inf")
-    return estimate, se
+    return _ratio(f_vals, iats), se
 
 
 def _batch_sums(x: np.ndarray, b: int) -> np.ndarray:

@@ -17,12 +17,15 @@ from qlag import (
     STATE_IDLE,
     Uniform,
     Window,
+    default_cases,
     draw_lag,
     run_adaptive,
     update,
 )
 from qlag import bayes, simulator
+from qlag._fmt import fmt_float
 from qlag.bayes import adaptive_log_to_csv
+from qlag.simulator import assemble_trajectory
 from qlag.streams import substream
 
 F1 = ExponentialReward(1.0)
@@ -188,7 +191,7 @@ class TestRules:
         assert r.lags[0] == 0.0
         assert np.all(r.lags >= 0.0)
         assert r.posterior == PosteriorState(2.0, 3.0, updates_applied=2000)
-        assert np.all(r.alphas == 2.0) and np.all(r.betas == 3.0)
+        assert r.alphas is None and r.betas is None
         assert r.lag_estimate >= 0.0
 
     def test_gradient_rule_reads_the_reward(self):
@@ -251,6 +254,17 @@ def test_adaptive_log_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1" and first[4] == "idle" and first[5] == ""
     assert lines[-1].split(",")[5] != ""
+    # the gradient rule keeps no belief, so alpha and beta stay empty
+    assert all(line.split(",")[2:4] == ["", ""] for line in lines[1:])
+
+
+def test_adaptive_log_csv_gamma_belief(tmp_path):
+    r = run_adaptive(Exponential(1.0), Exponential(0.33), None, F1, n=50,
+                     cfg=BayesConfig(rule="gamma"), seed=3, reporting=Window.last_k(10))
+    path = tmp_path / "log.csv"
+    adaptive_log_to_csv(r, F1, path)
+    last = path.read_text().splitlines()[-1].split(",")
+    assert last[2:4] == [fmt_float(r.posterior.alpha), fmt_float(r.posterior.beta)]
 
 
 def test_config_validation():
@@ -317,6 +331,15 @@ def _reference_gradient_lags(s, d, f):
     return lags, step(folded, n)
 
 
+def _reference_with_waits(s, d, f):
+    """The reference loop in the library learner's return shape: per-job
+    lags, the waits recomputed from those lags, and the final lag."""
+    lags, lag_estimate = _reference_gradient_lags(s, d, f)
+    wait = np.zeros(len(s))
+    wait[1:] = np.maximum(s[:-1] - lags[1:] - d[1:], 0.0)
+    return lags, wait, lag_estimate
+
+
 class TestGradientOracle:
     """run_adaptive's gradient rule against the reference loop, compared
     with ==: the same lags, final lag, waits and reward to the last bit."""
@@ -342,7 +365,7 @@ class TestGradientOracle:
 
         got = run()
         with monkeypatch.context() as m:
-            m.setattr(bayes, "_gradient_lags", _reference_gradient_lags)
+            m.setattr(bayes, "_gradient_lags", _reference_with_waits)
             want = run()
         assert np.array_equal(got.lags, want.lags)
         assert got.lag_estimate == want.lag_estimate
@@ -371,3 +394,34 @@ class TestGradientOracle:
         for f in self.REWARDS.values():
             self._assert_matches_reference(monkeypatch, service, delay, schedule, f,
                                            20_000, 4, Window.last_k(5000))
+
+
+class TestHandOff:
+    """The trajectory run_adaptive builds from its learner's waits equals the
+    one assemble_trajectory recomputes from the same draws and lags, column by
+    column with ==."""
+
+    GRADUAL = GradualLinear(1.0, 0.5, 0.33, 0.1667, 2000)
+    ABRUPT = AbruptPiecewise(((2000, 1.0, 0.33), (2000, 0.5, 0.1667)))
+
+    @staticmethod
+    def _assert_hand_off(service, delay, schedule, f, rule):
+        r = run_adaptive(service, delay, schedule, f, n=4000, cfg=BayesConfig(rule=rule),
+                         seed=5, reporting=Window.last_k(500))
+        got = r.trajectory
+        want = assemble_trajectory(got.service, got.delay, r.lags, got.seed,
+                                   got.lag_policy_description)
+        for column in ("wait", "iat", "sojourn", "busy"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert got.busy.any() and not got.busy.all()
+
+    @pytest.mark.parametrize("rule", bayes.RULES)
+    @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.id)
+    def test_default_cases(self, case, rule):
+        self._assert_hand_off(case.service, case.delay, None, case.reward, rule)
+
+    @pytest.mark.parametrize("rule", bayes.RULES)
+    @pytest.mark.parametrize("schedule", [GRADUAL, ABRUPT], ids=["gradual", "abrupt"])
+    def test_schedules(self, schedule, rule):
+        self._assert_hand_off(Exponential(1.0), Exponential(0.33), schedule,
+                              PolynomialReward(2.0), rule)

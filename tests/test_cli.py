@@ -198,6 +198,9 @@ _GRID = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 20_000}
     ("step=0", "step"),
     ("n=500", "n"),
     ('n="many"', "n"),
+    ("n=20000.5", "n"),
+    ("burn_in=10.5", "burn_in"),
+    ("burn_in=true", "burn_in"),
     ('objective="golden"', "objective"),
     ('reward={"kind": "exp", "kappa": NaN}', "reward"),
     ('service={"kind": "deterministic", "value": NaN}', "service"),
@@ -213,6 +216,9 @@ def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
 _BAYES = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 2000}
 _REGION = {"service_family": "exponential", "delay_family": "uniform", "kappa": 1.0,
            "ts": [0.5, 1.0], "td": {"min": 0.2, "max": 0.6, "count": 3}}
+_SUITE = {"cases": [{**EXP_EXP, "id": "A1", "reward": {"kind": "exp", "kappa": 1.0},
+                     "methods": ["bayes"], "n": 6000, "seeds": [1],
+                     "reporting": {"kind": "last_k", "k": 1000}}]}
 
 
 @pytest.mark.parametrize("command, base, override, field", [
@@ -235,6 +241,13 @@ _REGION = {"service_family": "exponential", "delay_family": "uniform", "kappa": 
     ("region-scan", _REGION, 'td={"min": 0.2, "max": "x", "count": 3}', "td"),
     ("region-scan", _REGION, "td=[0.2, -1]", "td"),
     ("region-scan", _REGION, 'mode="bogus"', "mode"),
+    # job counts are JSON integers: no float, no bool
+    ("bayes", _BAYES, "n=3000.7", "n"),
+    ("simulate", {**_BAYES, "n": 50}, "n=2.5", "n"),
+    ("mean-shift", _MEAN_SHIFT, "n=true", "n"),
+    ("mean-shift", _MEAN_SHIFT, "width=500.5", "width"),
+    ("suite", _SUITE, 'grid_n="abc"', "grid_n"),
+    ("suite", _SUITE, "grid_n=1e5", "grid_n"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)

@@ -25,7 +25,6 @@ from qlag import (
     default_cases,
     optimize,
     run_fixed_lag,
-    server_state_at_arrival,
     state_from_wait,
 )
 from qlag import simulator
@@ -50,15 +49,16 @@ class TestDeterministicTrace:
         assert self.traj.iat.tolist() == [0.0, 0.5, 1.0]
 
     def test_states(self):
-        assert [j.server_state_at_arrival for j in self.traj] == [
+        assert self.traj.busy.tolist() == [False, True, True]
+        assert [state_from_wait(w) for w in self.traj.wait] == [
             STATE_IDLE, STATE_BUSY, STATE_BUSY,
         ]
 
     def test_job_records(self):
-        job = self.traj.job(2)
-        assert job.index == 2
-        assert job.wait == 0.5
-        assert server_state_at_arrival(job) == STATE_BUSY
+        # job 2 (1-based) waits 0.5 and finds the server busy
+        assert self.traj.wait[1] == 0.5
+        assert self.traj.busy[1]
+        assert state_from_wait(self.traj.wait[1]) == STATE_BUSY
 
     def test_steady_state_reward_values(self):
         assert estimate_reward(self.traj, F1, Window.last_k(1)) == pytest.approx(
@@ -72,7 +72,8 @@ class TestDeterministicTrace:
 def test_large_lag_means_no_waiting():
     traj = run_fixed_lag(Deterministic(1.0), Deterministic(0.5), 10.0, 3, seed=1)
     assert np.all(traj.wait == 0.0)
-    assert all(j.server_state_at_arrival == STATE_IDLE for j in traj)
+    assert not traj.busy.any()
+    assert all(state_from_wait(w) == STATE_IDLE for w in traj.wait)
 
 
 def test_state_from_wait():
@@ -188,6 +189,18 @@ def test_window_errors():
         estimate_reward(traj, F1, Window.sliding(5))
 
 
+@pytest.mark.parametrize("make", [Window.last_k, Window.sliding])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, True, 0, -3, "4"])
+def test_window_size_must_be_a_count(make, bad):
+    with pytest.raises(EmptyWindowError):
+        make(bad)
+
+
+def test_window_size_accepts_numpy_integers():
+    window = Window.last_k(np.int64(7))
+    assert window == Window.last_k(7) and type(window.size) is int
+
+
 def test_run_validation():
     with pytest.raises(ValueError):
         run_fixed_lag(Exponential(1.0), Exponential(0.33), 0.0, 1, seed=0)
@@ -292,6 +305,27 @@ class TestSchedules:
     def test_means_must_be_positive_and_finite(self, make, bad):
         with pytest.raises(InvalidScheduleError):
             make(bad)
+
+    # every job count must be a positive integer: NaN and inf would break
+    # schedule_means, and 2.5 or True would silently run as 2 or 1 jobs
+    BAD_COUNTS = [math.nan, math.inf, 2.5, True, 0, -3, "4"]
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS + [1])  # a ramp needs 2 jobs
+    def test_gradual_ramp_length_must_be_a_count(self, bad):
+        with pytest.raises(InvalidScheduleError):
+            GradualLinear(1.0, 2.0, 0.3, 0.3, over_jobs=bad)
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_abrupt_segment_length_must_be_a_count(self, bad):
+        with pytest.raises(InvalidScheduleError):
+            AbruptPiecewise(((100, 1.0, 0.33), (bad, 0.5, 0.1667)))
+
+    def test_numpy_integer_counts_accepted(self):
+        gradual = GradualLinear(1.0, 2.0, 0.3, 0.3, over_jobs=np.int64(11))
+        assert schedule_means(gradual, 12)[0].tolist() == pytest.approx(
+            schedule_means(GradualLinear(1.0, 2.0, 0.3, 0.3, 11), 12)[0].tolist())
+        abrupt = AbruptPiecewise(((np.int32(3), 1.0, 0.33), (np.int64(2), 0.5, 0.1667)))
+        assert schedule_means(abrupt, 5)[0].tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
 
     def test_abrupt_too_short_raises(self):
         sched = AbruptPiecewise(((3, 1.0, 0.33),))
