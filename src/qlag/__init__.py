@@ -9,11 +9,7 @@ renewal-reward gradient ascent or with the paper's Gamma-state rule.
 """
 
 from .analytics import (
-    ClosedForm,
-    ClosedFormUnavailableError,
     KinkWarning,
-    MonteCarlo,
-    NumericIntegration,
     RewardEstimate,
     delta_star,
     expected_wait,

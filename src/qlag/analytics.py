@@ -14,7 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 import scipy
@@ -29,14 +28,9 @@ from .distributions import (
     prob_diff_exceeds,
 )
 from .reward import ExponentialReward
-from .simulator import ParameterError
+from .simulator import ParameterError, _check_lag
 
 __all__ = [
-    "ClosedForm",
-    "NumericIntegration",
-    "MonteCarlo",
-    "EvalMethod",
-    "ClosedFormUnavailableError",
     "KinkWarning",
     "RewardEstimate",
     "expected_wait",
@@ -47,37 +41,6 @@ __all__ = [
     "monte_carlo_wait",
     "monte_carlo_reward",
 ]
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    pass
-
-
-@dataclass(frozen=True)
-class NumericIntegration:
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    n: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 10_000:
-            raise ValueError("Monte-Carlo evaluation needs at least 1e4 samples")
-
-
-EvalMethod = Union[ClosedForm, NumericIntegration, MonteCarlo]
-
-
-class ClosedFormUnavailableError(ValueError):
-    """No closed form is implemented for the requested pair of laws."""
 
 
 class KinkWarning(UserWarning):
@@ -97,46 +60,52 @@ class RewardEstimate:
     std_error: float
 
 
-def _check_kappa(kappa: float) -> None:
-    if not 0 < kappa < math.inf:
-        raise ParameterError("kappa", f"kappa must be finite and positive, got {kappa}")
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ParameterError(name, f"{name} must be finite and positive, got {value}")
 
 
-def _closed_form_or_numeric(fn, kernel, *args, lags, tol: float = 1e-9) -> np.ndarray:
-    """fn(*args, lag, ClosedForm()) at every lag, or else kernel(*args, lags,
-    tol), the numeric value of the whole grid at once.
+def _check_samples(lag: float, n: int) -> None:
+    _check_lag(lag)
+    if n < 2:
+        raise ParameterError("n", f"Monte-Carlo estimates need at least 2 samples, got {n}")
 
-    Whether a closed form exists depends on the laws alone, so the first
-    lag decides: fn raising ClosedFormUnavailableError there selects the
-    kernel.
-    """
-    try:
-        return np.array([fn(*args, lag, ClosedForm()) for lag in lags], dtype=float)
-    except ClosedFormUnavailableError:
-        return kernel(*args, np.asarray(lags, dtype=float), tol)
+
+# The closed forms are scalar math per lag, not numpy ufuncs over the grid:
+# np.exp and math.exp can differ in the last bit.
+
+def _closed_waits(service, delay, lags) -> np.ndarray | None:
+    """E[W] at every lag in closed form, or None when the laws have none
+    (closed forms: exponential service and delay, or two point masses)."""
+    if isinstance(service, Exponential) and isinstance(delay, Exponential):
+        lam_s, lam_d = service.rate, delay.rate
+        waits = [lam_d / (lam_s + lam_d) * math.exp(-lam_s * lag) / lam_s for lag in lags]
+    elif isinstance(service, Deterministic) and isinstance(delay, Deterministic):
+        waits = [max(service.value - delay.value - lag, 0.0) for lag in lags]
+    else:
+        return None
+    return np.array(waits, dtype=float)
+
+
+def _exact_waits(service, delay, lags, tol: float = 1e-9) -> np.ndarray:
+    """E[W] at every lag: the closed form where the laws have one, else one
+    kernel call for the whole grid."""
+    closed = _closed_waits(service, delay, lags)
+    return _numeric_waits(service, delay, lags, tol) if closed is None else closed
 
 
 def expected_wait(
     service: DistributionSpec,
     delay: DistributionSpec,
     lag: float,
-    method: EvalMethod = NumericIntegration(),
+    *,
+    tol: float = 1e-9,
 ) -> float:
-    """E[max(S - D - lag, 0)], the stationary waiting time at the given lag."""
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
-    if isinstance(method, ClosedForm):
-        if isinstance(service, Exponential) and isinstance(delay, Exponential):
-            lam_s, lam_d = service.rate, delay.rate
-            return lam_d / (lam_s + lam_d) * math.exp(-lam_s * lag) / lam_s
-        if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
-            return max(service.value - delay.value - lag, 0.0)
-        raise ClosedFormUnavailableError(
-            f"no closed-form E[W] for {type(service).__name__}/{type(delay).__name__}"
-        )
-    if isinstance(method, MonteCarlo):
-        return monte_carlo_wait(service, delay, lag, method.n, method.seed)[0]
-    return float(_numeric_waits(service, delay, [lag], method.tol)[0])
+    """E[max(S - D - lag, 0)], the stationary waiting time at the given lag:
+    the closed form where the laws have one, else quadrature to within tol."""
+    _check_lag(lag)
+    _check_positive("tol", tol)
+    return float(_exact_waits(service, delay, [lag], tol)[0])
 
 
 def monte_carlo_wait(
@@ -147,6 +116,7 @@ def monte_carlo_wait(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte-Carlo (E[W] estimate, standard error)."""
+    _check_samples(lag, n)
     total = 0.0
     total_sq = 0.0
     for s, d in monte_carlo_draws(seed, {"mc-wait-service": service, "mc-wait-delay": delay}, n):
@@ -160,8 +130,7 @@ def monte_carlo_wait(
 
 def wait_derivative(service: DistributionSpec, delay: DistributionSpec, lag: float) -> float:
     """d E[W] / d lag = -P(S - D > lag)."""
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
+    _check_lag(lag)
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
         if abs(service.value - delay.value - lag) <= 1e-12:
             warnings.warn(
@@ -288,44 +257,57 @@ def _numeric_rewards(service, delay, f, lags, tol) -> np.ndarray:
     return numer / (lags + delay.mean + ew)
 
 
+def _closed_rewards(service, delay, f, lags) -> np.ndarray | None:
+    """G at every lag in closed form, or None when the laws have none
+    (closed forms: two point masses with any reward, or exponential service
+    with an exponential reward and an exponential, uniform or point-mass
+    delay)."""
+    if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
+        s, d = service.value, delay.value
+        waits = [max(s - lag - d, 0.0) for lag in lags]
+        rewards = [float(f.eval(w + s)) / (lag + d + w) for lag, w in zip(lags, waits)]
+    elif (
+        isinstance(f, ExponentialReward)
+        and isinstance(service, Exponential)
+        and isinstance(delay, (Exponential, Uniform, Deterministic))
+    ):
+        lam_s, kappa = service.rate, f.kappa
+        # memoryless service: the overshoot of S_prev past lag + D is again
+        # exponential, so with p = P(W > 0), E[W] = p / lam_s and
+        # M_W(-kappa) = 1 - p kappa / (lam_s + kappa)
+        ms = service.mgf(-kappa)
+        busy = [math.exp(-lam_s * lag) * delay.mgf(-lam_s) for lag in lags]
+        rewards = [ms * (1.0 - p * kappa / (lam_s + kappa)) / (lag + delay.mean + p / lam_s)
+                   for lag, p in zip(lags, busy)]
+    else:
+        return None
+    return np.array(rewards, dtype=float)
+
+
+def _exact_rewards(service, delay, f, lags, tol: float = 1e-9) -> np.ndarray:
+    """G at every lag: the closed form where the laws have one, else one
+    kernel call for the whole grid."""
+    closed = _closed_rewards(service, delay, f, lags)
+    return _numeric_rewards(service, delay, f, lags, tol) if closed is None else closed
+
+
 def reward_exact(
     service: DistributionSpec,
     delay: DistributionSpec,
     f,
     lag: float,
-    method: EvalMethod = NumericIntegration(),
+    *,
+    tol: float = 1e-9,
 ) -> float:
-    """G = E[f(W + S)] / (lag + E[D] + E[W]) at the given lag.
+    """G = E[f(W + S)] / (lag + E[D] + E[W]) at the given lag: the closed
+    form where the laws have one, else quadrature to within tol.
 
     W = max(S_prev - lag - D, 0) with S_prev distributed as S and
     independent of the served job's own S.
     """
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
-    if isinstance(method, MonteCarlo):
-        return monte_carlo_reward(service, delay, f, lag, method.n, method.seed).value
-    if isinstance(method, ClosedForm):
-        if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
-            w = max(service.value - lag - delay.value, 0.0)
-            return float(f.eval(w + service.value)) / (lag + delay.value + w)
-        if (
-            isinstance(f, ExponentialReward)
-            and isinstance(service, Exponential)
-            and isinstance(delay, (Exponential, Uniform, Deterministic))
-        ):
-            lam_s = service.rate
-            kappa = f.kappa
-            # memoryless service: the overshoot of S_prev past lag + D is
-            # again exponential, so both E[W] and M_W(-kappa) close up
-            p_bar = math.exp(-lam_s * lag) * delay.mgf(-lam_s)
-            mw = 1.0 - p_bar * kappa / (lam_s + kappa)
-            ew = p_bar / lam_s
-            return service.mgf(-kappa) * mw / (lag + delay.mean + ew)
-        raise ClosedFormUnavailableError(
-            f"no closed-form reward for {type(service).__name__}/"
-            f"{type(delay).__name__} with {type(f).__name__}"
-        )
-    return float(_numeric_rewards(service, delay, f, [lag], method.tol)[0])
+    _check_lag(lag)
+    _check_positive("tol", tol)
+    return float(_exact_rewards(service, delay, f, [lag], tol)[0])
 
 
 def monte_carlo_reward(
@@ -337,6 +319,7 @@ def monte_carlo_reward(
     seed: int = 0,
 ) -> RewardEstimate:
     """Monte-Carlo estimate of the exact reward with a batch-means error bar."""
+    _check_samples(lag, n)
     batches = min(100, max(2, n // 100))
     f_sums = np.empty(batches)
     w_sums = np.empty(batches)
@@ -371,9 +354,9 @@ def surrogate_reward(
 
     Raises DivergentMGFError when the delay's MGF at kappa does not exist.
     """
-    _check_kappa(kappa)
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
+    _check_positive("kappa", kappa)
+    _check_lag(lag)
+    _check_positive("tol", tol)
     return float(_surrogate_rewards(service, delay, kappa, [lag], tol)[0])
 
 
@@ -383,9 +366,7 @@ def _surrogate_rewards(service, delay, kappa: float, lags, tol: float = 1e-9) ->
     lags = np.asarray(lags, dtype=float)
     ms = service.mgf(-kappa)
     md = delay.mgf(kappa)
-    ew = _closed_form_or_numeric(
-        expected_wait, _numeric_waits, service, delay, lags=lags, tol=tol
-    )
+    ew = _exact_waits(service, delay, lags, tol)
     numer = ms * np.minimum(ms * np.exp(kappa * lags) * md, 1.0)
     return numer / (lags + delay.mean + ew)
 
@@ -396,7 +377,7 @@ def delta_star(service: DistributionSpec, delay: DistributionSpec, kappa: float)
     Zero when the product already reaches 1 at zero lag (including exactly
     at the boundary, taking the continuous limit).
     """
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     product = service.mgf(-kappa) * delay.mgf(kappa)
     if product >= 1.0:
         return 0.0

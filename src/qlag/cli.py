@@ -29,6 +29,8 @@ from .conditions import (
 from .config import (
     ConfigError,
     _integer,
+    _is_a,
+    _number,
     parse_distribution,
     parse_experiment,
     parse_reward,
@@ -203,13 +205,9 @@ def _window_from(cfg: dict, key: str, default: Window) -> Window:
 
 
 def _float_field(cfg: dict, key: str, default=None):
-    """float(cfg[key]), or default when absent; a bad value names key."""
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from exc
+    """cfg[key] as a JSON number (an int or a float, not a bool), or default
+    when absent."""
+    return _number(cfg, key, "") if key in cfg else default
 
 
 def _integer_field(cfg: dict, key: str, default: int) -> int:
@@ -240,8 +238,8 @@ def _bayes_config(cfg: dict) -> BayesConfig:
     for key in _LEARNER_KEYS:
         if key not in cfg:
             continue
+        fields[key] = str(cfg[key]) if key == "rule" else _float_field(cfg, key)
         try:
-            fields[key] = str(cfg[key]) if key == "rule" else float(cfg[key])
             BayesConfig(**{key: fields[key]})
         except (TypeError, ValueError) as exc:
             raise ConfigError(key, str(exc)) from exc
@@ -397,24 +395,25 @@ def _grid_values(cfg: dict, key: str) -> list[float]:
     """The mean grid under key: positive means whose family laws, which span
     [0, 2 * mean], stay finite."""
     raw = cfg.get(key)
-    try:
-        if isinstance(raw, list) and raw:
-            values = [float(v) for v in raw]
-        elif isinstance(raw, dict):
-            for sub in ("min", "max", "count"):
-                if sub not in raw:
-                    raise ConfigError(f"{key}.{sub}", "missing required field")
-            count = int(raw["count"])
-            if count < 2:
-                raise ConfigError(f"{key}.count", "need at least 2 grid values")
-            lo, hi = float(raw["min"]), float(raw["max"])
-            values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-        else:
-            raise ConfigError(key, "expected a list of values or {min, max, count}")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from exc
+
+    def numbers(items: list) -> list[float]:
+        if not all(_is_a(v, (int, float)) for v in items):
+            raise ConfigError(key, f"grid values must be numbers, got {items}")
+        return [float(v) for v in items]
+
+    if isinstance(raw, list) and raw:
+        values = numbers(raw)
+    elif isinstance(raw, dict):
+        for sub in ("min", "max", "count"):
+            if sub not in raw:
+                raise ConfigError(f"{key}.{sub}", "missing required field")
+        count = _integer(raw, "count", key)
+        if count < 2:
+            raise ConfigError(f"{key}.count", "need at least 2 grid values")
+        lo, hi = numbers([raw["min"], raw["max"]])
+        values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    else:
+        raise ConfigError(key, "expected a list of values or {min, max, count}")
     if not all(0 < 2.0 * v < math.inf for v in values):
         raise ConfigError(key, f"grid means must be finite and positive, got {values}")
     return values
@@ -475,7 +474,10 @@ def _cmd_suite(cfg: dict, out: _OutputDir, seed: int) -> int:
     if not isinstance(raw_cases, list) or not raw_cases:
         raise ConfigError("cases", "expected a nonempty list of experiment objects")
     specs = [parse_experiment(case, f"cases[{i}]") for i, case in enumerate(raw_cases)]
-    rows = run_suite(specs, grid_n=_integer_field(cfg, "grid_n", 100_000))
+    try:
+        rows = run_suite(specs, grid_n=_integer_field(cfg, "grid_n", 100_000))
+    except ParameterError as exc:  # grid_n, or "specs" for a case that cannot run
+        raise ConfigError("cases" if exc.name == "specs" else exc.name, str(exc)) from exc
     suite_to_csv(rows, out.target("suite.csv"))
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from .distributions import (
     prob_diff_exceeds,
 )
 from ._fmt import fmt_float, write_csv
-from .analytics import _check_kappa, _closed_form_or_numeric, _numeric_waits, expected_wait
+from .analytics import _check_positive, _exact_waits
 from .simulator import ParameterError
 
 __all__ = [
@@ -194,7 +194,7 @@ def check_exponential(
 
     kappa * E[D + S + 1] * sqrt(M_S(-2*kappa)) / M_S(-kappa)^2 <= 1/sqrt(p) - sqrt(p).
     """
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     return _zero_lag_report(
         "cor1_exponential", service, delay, check_assumption,
         lambda mean_term: (
@@ -248,7 +248,7 @@ def check_surrogate(
                  < (1/kappa) P(D > S)  (strict).
     A divergent M_D(kappa) makes both reports indeterminate.
     """
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     try:
         ms = service.mgf(-kappa)
         md = delay.mgf(kappa)
@@ -268,9 +268,7 @@ def check_surrogate(
         False,
         "rhs is the MGF product M_S(-kappa) * M_D(kappa); holds iff it reaches 1",
     )
-    ew0 = float(
-        _closed_form_or_numeric(expected_wait, _numeric_waits, service, delay, lags=[0.0])[0]
-    )
+    ew0 = float(_exact_waits(service, delay, [0.0])[0])
     pds, tie_note = _prob_delay_exceeds_service(service, delay)
     lhs2 = math.log(1.0 / product) / kappa + delay.mean + ew0
     rhs2 = pds / kappa
@@ -327,7 +325,7 @@ def region_scan(
     for name, family in zip(("service_family", "delay_family"), families, strict=True):
         if family not in FAMILIES:
             raise ParameterError(name, f"unknown family {family!r}; expected one of {FAMILIES}")
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     ts = tuple(float(t) for t in ts_values)
     td = tuple(float(t) for t in td_values)
     services = [law_for_family(families[0], t_s) for t_s in ts]

@@ -21,8 +21,6 @@ __all__ = [
     "parse_schedule",
     "parse_window",
     "parse_experiment",
-    "distribution_to_obj",
-    "reward_to_obj",
 ]
 
 
@@ -32,13 +30,18 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _is_a(value: Any, kinds) -> bool:
+    """isinstance(value, kinds), where a JSON bool is neither an int nor a float."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _require(obj: dict, key: str, path: str, kinds) -> Any:
     """obj[key] if it is one of kinds and not a bool; path "" names a top-level key."""
     field = f"{path}.{key}" if path else key
     if key not in obj:
         raise ConfigError(field, "missing required field")
     value = obj[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
+    if not _is_a(value, kinds):
         raise ConfigError(field, f"expected {kinds}, got {type(value).__name__}")
     return value
 
@@ -84,24 +87,6 @@ def parse_distribution(obj: Any, path: str = "distribution") -> DistributionSpec
     )
 
 
-def distribution_to_obj(spec: DistributionSpec) -> dict:
-    if isinstance(spec, Exponential):
-        return {"kind": "exponential", "mean": spec.mean}
-    if isinstance(spec, Uniform):
-        return {"kind": "uniform", "lower": spec.lower, "upper": spec.upper}
-    if isinstance(spec, TruncatedNormal):
-        return {
-            "kind": "truncnorm",
-            "mu": spec.mu,
-            "sigma": spec.sigma,
-            "lower": spec.lower,
-            "upper": spec.upper,
-        }
-    if isinstance(spec, Deterministic):
-        return {"kind": "deterministic", "value": spec.value}
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
-
 def parse_reward(obj: Any, path: str = "reward") -> RewardSpec:
     obj = _check_mapping(obj, path)
     kind = _require(obj, "kind", path, str)
@@ -115,14 +100,6 @@ def parse_reward(obj: Any, path: str = "reward") -> RewardSpec:
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected exp or poly")
-
-
-def reward_to_obj(f: RewardSpec) -> dict:
-    if isinstance(f, ExponentialReward):
-        return {"kind": "exp", "kappa": f.kappa}
-    if isinstance(f, PolynomialReward):
-        return {"kind": "poly", "gamma": f.gamma}
-    raise TypeError(f"not a reward spec: {f!r}")
 
 
 def parse_schedule(obj: Any, path: str = "schedule") -> Optional[ParamSchedule]:
@@ -149,7 +126,7 @@ def parse_schedule(obj: Any, path: str = "schedule") -> Optional[ParamSchedule]:
                 if not isinstance(seg, (list, tuple)) or len(seg) != 3:
                     raise ConfigError(seg_path, "expected [length, t_s, t_d]")
                 length, t_s, t_d = seg
-                if not isinstance(length, int) or isinstance(length, bool):
+                if not _is_a(length, int):
                     raise ConfigError(f"{seg_path}[0]", "segment length must be an integer")
                 segments.append((length, float(t_s), float(t_d)))
             return AbruptPiecewise(tuple(segments))
@@ -187,7 +164,7 @@ def parse_experiment(obj: Any, path: str = "case") -> ExperimentSpec:
     methods = _require(obj, "methods", path, list)
     seeds = _require(obj, "seeds", path, list)
     for i, seed in enumerate(seeds):
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_a(seed, int):
             raise ConfigError(f"{path}.seeds[{i}]", "seeds must be integers")
     reporting = parse_window(obj.get("reporting", {"kind": "last_k", "k": 5000}),
                              f"{path}.reporting")

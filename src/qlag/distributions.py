@@ -93,10 +93,6 @@ class DistributionSpec(ABC):
     def pdf(self, x):
         raise NotImplementedError("law has no density")
 
-    @property
-    def is_continuous(self) -> bool:
-        return True
-
     def upper_quantile(self, eps: float = TAIL_EPS) -> float:
         return self.ppf(1.0 - eps)
 
@@ -373,10 +369,6 @@ class Deterministic(DistributionSpec):
     @property
     def mean(self) -> float:
         return self.value
-
-    @property
-    def is_continuous(self) -> bool:
-        return False
 
     def expect(self, g, tol: float = _QUAD_EPS, breaks=()) -> float:
         return float(g(self.value))

@@ -16,9 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._fmt import fmt_float, write_csv
-from .analytics import (
-    _closed_form_or_numeric, _numeric_rewards, _surrogate_rewards, reward_exact,
-)
+from .analytics import _exact_rewards, _surrogate_rewards
 from .distributions import DistributionSpec
 from .reward import ExponentialReward
 from .simulator import DEFAULT_BURN_IN, ParameterError, ParamSchedule, sweep_lags
@@ -26,6 +24,7 @@ from .simulator import DEFAULT_BURN_IN, ParameterError, ParamSchedule, sweep_lag
 __all__ = ["GridPoint", "GridResult", "optimize", "build_lag_grid", "OBJECTIVES"]
 
 OBJECTIVES = ("simulated", "exact", "surrogate")
+MIN_SIMULATED_N = 10_000  # jobs per point the simulated objective needs
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def optimize(
     lags = [float(lag) for lag in build_lag_grid(lag_min, lag_max, step)]
 
     if objective == "simulated":
-        if n < 10_000:
+        if n < MIN_SIMULATED_N:
             raise ParameterError("n", "the simulated objective needs at least 1e4 jobs per point")
         estimates = sweep_lags(
             service, delay, lags, f, n, schedule=schedule, seed=seed, burn_in=burn_in
@@ -109,9 +108,7 @@ def optimize(
         points = tuple(GridPoint(lag, value, se) for lag, (value, se) in zip(lags, estimates))
     else:
         if objective == "exact":
-            rewards = _closed_form_or_numeric(
-                reward_exact, _numeric_rewards, service, delay, f, lags=lags
-            )
+            rewards = _exact_rewards(service, delay, f, lags)
         elif isinstance(f, ExponentialReward):
             rewards = _surrogate_rewards(service, delay, f.kappa, lags)
         else:

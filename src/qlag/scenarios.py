@@ -29,7 +29,7 @@ from .distributions import (
     Uniform,
     law_for_family,
 )
-from .gridsearch import optimize
+from .gridsearch import MIN_SIMULATED_N, optimize
 from .parallel import ordered_map
 from .reward import ExponentialReward, RewardSpec
 from .simulator import (
@@ -192,9 +192,26 @@ def run_suite(
     grid_n: int = 100_000,
     cfg: BayesConfig = BayesConfig(),
 ) -> list[SuiteRow]:
-    """One row per (spec, seed), reproducible from the spec list alone."""
+    """One row per (spec, seed), reproducible from the spec list alone.
+
+    A grid_n too small for the simulated grid raises ParameterError("grid_n")
+    before any row runs; a row that cannot run raises ParameterError("specs")
+    naming its case and seed.
+    """
+    if grid_n < MIN_SIMULATED_N and any("grid" in spec.methods for spec in specs):
+        raise ParameterError(
+            "grid_n", f"the grid method needs at least 1e4 jobs per point, got {grid_n}"
+        )
+
+    def row(job):
+        spec, seed = job
+        try:
+            return _suite_row(spec, seed, grid_n, cfg)
+        except ValueError as exc:
+            raise ParameterError("specs", f"case {spec.id}, seed {seed}: {exc}") from exc
+
     jobs = [(spec, seed) for spec in specs for seed in spec.seeds]
-    return ordered_map(lambda job: _suite_row(job[0], job[1], grid_n, cfg), jobs)
+    return ordered_map(row, jobs)
 
 
 def suite_to_csv(rows: Sequence[SuiteRow], path) -> None:

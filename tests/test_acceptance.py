@@ -30,13 +30,12 @@ from qlag import (
     mean_shift_run,
     optimize,
     region_scan,
-    reward_exact,
     run_adaptive,
     run_fixed_lag,
     surrogate_reward,
     wait_derivative,
-    NumericIntegration,
 )
+from qlag.analytics import _numeric_rewards
 from qlag.cli import main as cli_main
 from qlag.streams import substream
 
@@ -91,7 +90,7 @@ def test_criterion_2_simulator_oracle_agreement():
     mean_w = float(traj.wait.mean())
     rel_gap = abs(mean_w - 0.7519) / 0.7519
     ghat, se = estimate_reward_se(traj, F1, Window.last_k(10**6 - 1000))
-    exact = reward_exact(EXP_S, EXP_D, F1, 0.0, NumericIntegration())
+    exact = _numeric_rewards(EXP_S, EXP_D, F1, [0.0], 1e-9)[0]
     sigmas = abs(ghat - exact) / se
     ok = rel_gap < 0.01 and sigmas < 3.0
     _report(

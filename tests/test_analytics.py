@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from qlag import (
-    ClosedForm,
-    ClosedFormUnavailableError,
     Deterministic,
     Exponential,
     ExponentialReward,
     KinkWarning,
-    MonteCarlo,
-    NumericIntegration,
+    ParameterError,
     PolynomialReward,
     TruncatedNormal,
     Uniform,
@@ -35,7 +32,10 @@ from qlag import (
     wait_derivative,
 )
 from qlag import analytics
-from qlag.analytics import _closed_form_or_numeric, _numeric_rewards, _numeric_waits
+from qlag.analytics import (
+    _closed_rewards, _closed_waits, _exact_rewards, _exact_waits, _numeric_rewards,
+    _numeric_waits,
+)
 from qlag.distributions import law_for_family
 
 EXP_S = Exponential(1.0)
@@ -43,28 +43,45 @@ EXP_D = Exponential(0.33)
 P0 = 100.0 / 133.0  # P(S - D > 0) for the pair above
 
 
+def closed_wait(service, delay, lag):
+    return _closed_waits(service, delay, [lag])[0]
+
+
+def closed_reward(service, delay, f, lag):
+    return _closed_rewards(service, delay, f, [lag])[0]
+
+
+def numeric_wait(service, delay, lag):
+    """The quadrature kernel's E[W], also where a closed form exists."""
+    return _numeric_waits(service, delay, [lag], 1e-9)[0]
+
+
+def numeric_reward(service, delay, f, lag):
+    """The quadrature kernel's G, also where a closed form exists."""
+    return _numeric_rewards(service, delay, f, [lag], 1e-9)[0]
+
+
 class TestExpectedWait:
     def test_closed_form_exp_exp(self):
-        assert expected_wait(EXP_S, EXP_D, 0.0, ClosedForm()) == pytest.approx(P0, abs=1e-12)
-        assert expected_wait(EXP_S, EXP_D, 1.0, ClosedForm()) == pytest.approx(
+        assert closed_wait(EXP_S, EXP_D, 0.0) == pytest.approx(P0, abs=1e-12)
+        assert closed_wait(EXP_S, EXP_D, 1.0) == pytest.approx(
             P0 * math.exp(-1.0), abs=1e-12
         )
 
     def test_closed_form_deterministic(self):
-        assert expected_wait(Deterministic(1.0), Deterministic(0.5), 0.2, ClosedForm()) == 0.3
+        assert closed_wait(Deterministic(1.0), Deterministic(0.5), 0.2) == 0.3
 
     def test_closed_form_unavailable(self):
-        with pytest.raises(ClosedFormUnavailableError):
-            expected_wait(EXP_S, Uniform(0.0, 0.66), 0.0, ClosedForm())
+        assert _closed_waits(EXP_S, Uniform(0.0, 0.66), [0.0]) is None
 
     def test_large_lag_vanishes(self):
-        assert expected_wait(EXP_S, EXP_D, 50.0, ClosedForm()) < 1e-20
+        assert closed_wait(EXP_S, EXP_D, 50.0) < 1e-20
         assert expected_wait(Uniform(0.0, 2.0), Uniform(0.0, 0.66), 2.5) == 0.0
 
     @pytest.mark.parametrize("lag", [0.0, 0.25, 1.0])
     def test_numeric_matches_closed_form(self, lag):
-        closed = expected_wait(EXP_S, EXP_D, lag, ClosedForm())
-        numeric = expected_wait(EXP_S, EXP_D, lag, NumericIntegration())
+        closed = closed_wait(EXP_S, EXP_D, lag)
+        numeric = numeric_wait(EXP_S, EXP_D, lag)
         assert numeric == pytest.approx(closed, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -79,13 +96,13 @@ class TestExpectedWait:
     def test_numeric_matches_monte_carlo(self, s, d):
         for lag in (0.0, 0.5):
             mc, se = monte_carlo_wait(s, d, lag, 2_000_000, seed=17)
-            assert expected_wait(s, d, lag, NumericIntegration()) == pytest.approx(
+            assert expected_wait(s, d, lag) == pytest.approx(
                 mc, abs=3.5 * se + 1e-9
             )
 
     def test_method_consistency_three_ways(self):
-        closed = expected_wait(EXP_S, EXP_D, 0.5, ClosedForm())
-        numeric = expected_wait(EXP_S, EXP_D, 0.5, NumericIntegration())
+        closed = closed_wait(EXP_S, EXP_D, 0.5)
+        numeric = numeric_wait(EXP_S, EXP_D, 0.5)
         mc, se = monte_carlo_wait(EXP_S, EXP_D, 0.5, 4_000_000, seed=23)
         assert numeric == pytest.approx(closed, abs=1e-9)
         assert abs(mc - closed) < 3 * se
@@ -125,22 +142,21 @@ class TestWaitDerivative:
 class TestRewardExact:
     def test_deterministic_hand_value(self):
         f = ExponentialReward(1.0)
-        got = reward_exact(Deterministic(1.0), Deterministic(0.5), f, 0.0, ClosedForm())
+        got = closed_reward(Deterministic(1.0), Deterministic(0.5), f, 0.0)
         assert got == pytest.approx(math.exp(-1.5), rel=1e-12)
-        got_num = reward_exact(Deterministic(1.0), Deterministic(0.5), f, 0.0, NumericIntegration())
+        got_num = numeric_reward(Deterministic(1.0), Deterministic(0.5), f, 0.0)
         assert got_num == pytest.approx(math.exp(-1.5), rel=1e-12)
 
     def test_closed_vs_numeric_exp_service(self):
         f = ExponentialReward(1.0)
         for delay in (EXP_D, Uniform(0.0, 0.66), Deterministic(0.33)):
             for lag in (0.0, 0.4):
-                closed = reward_exact(EXP_S, delay, f, lag, ClosedForm())
-                numeric = reward_exact(EXP_S, delay, f, lag, NumericIntegration())
+                closed = closed_reward(EXP_S, delay, f, lag)
+                numeric = numeric_reward(EXP_S, delay, f, lag)
                 assert numeric == pytest.approx(closed, rel=1e-9)
 
     def test_closed_form_unavailable_for_uniform_service(self):
-        with pytest.raises(ClosedFormUnavailableError):
-            reward_exact(Uniform(0.0, 2.0), EXP_D, ExponentialReward(1.0), 0.0, ClosedForm())
+        assert _closed_rewards(Uniform(0.0, 2.0), EXP_D, ExponentialReward(1.0), [0.0]) is None
 
     @pytest.mark.parametrize(
         "s,d,f",
@@ -154,24 +170,24 @@ class TestRewardExact:
     )
     def test_numeric_matches_monte_carlo(self, s, d, f):
         est = monte_carlo_reward(s, d, f, 0.2, 2_000_000, seed=31)
-        numeric = reward_exact(s, d, f, 0.2, NumericIntegration())
+        numeric = reward_exact(s, d, f, 0.2)
         assert numeric == pytest.approx(est.value, abs=3.5 * est.std_error)
 
     def test_monte_carlo_method_dispatch(self):
-        val = reward_exact(EXP_S, EXP_D, ExponentialReward(1.0), 0.0, MonteCarlo(500_000, 7))
-        closed = reward_exact(EXP_S, EXP_D, ExponentialReward(1.0), 0.0, ClosedForm())
+        val = monte_carlo_reward(EXP_S, EXP_D, ExponentialReward(1.0), 0.0, 500_000, seed=7).value
+        closed = closed_reward(EXP_S, EXP_D, ExponentialReward(1.0), 0.0)
         assert val == pytest.approx(closed, rel=0.01)
 
     def test_tiny_kappa_equals_arrival_rate(self):
-        lam = 1.0 / (0.0 + EXP_D.mean + expected_wait(EXP_S, EXP_D, 0.0, ClosedForm()))
-        got = reward_exact(EXP_S, EXP_D, ExponentialReward(1e-9), 0.0, ClosedForm())
+        lam = 1.0 / (0.0 + EXP_D.mean + closed_wait(EXP_S, EXP_D, 0.0))
+        got = closed_reward(EXP_S, EXP_D, ExponentialReward(1e-9), 0.0)
         assert got == pytest.approx(lam, rel=1e-8)
 
     def test_agrees_with_simulator(self):
         f = ExponentialReward(1.0)
         traj = run_fixed_lag(EXP_S, EXP_D, 0.0, 10**6, seed=42)
         ghat, se = estimate_reward_se(traj, f, Window.last_k(10**6 - 1000))
-        exact = reward_exact(EXP_S, EXP_D, f, 0.0, NumericIntegration())
+        exact = numeric_reward(EXP_S, EXP_D, f, 0.0)
         assert abs(ghat - exact) < 3 * se
 
 
@@ -193,8 +209,8 @@ def _point_mass_pair_by_hand(service, delay, kappa, lag):
     lag - S_prev for a point-mass service.
     """
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
-        ew = expected_wait(service, delay, lag, ClosedForm())
-        return reward_exact(service, delay, ExponentialReward(kappa), lag, ClosedForm()), ew
+        ew = closed_wait(service, delay, lag)
+        return closed_reward(service, delay, ExponentialReward(kappa), lag), ew
     if isinstance(delay, Deterministic):
         ew, mw = _uniform_excess(service.lower, service.upper, lag + delay.value, kappa)
     else:
@@ -214,9 +230,9 @@ POINT_MASS_PAIRS = {
 def test_point_mass_pairs_match_closed_form(pair, lag):
     service, delay = POINT_MASS_PAIRS[pair]
     g, ew = _point_mass_pair_by_hand(service, delay, 0.7, lag)
-    numeric = reward_exact(service, delay, ExponentialReward(0.7), lag, NumericIntegration())
+    numeric = numeric_reward(service, delay, ExponentialReward(0.7), lag)
     assert numeric == pytest.approx(g, abs=1e-9)
-    assert expected_wait(service, delay, lag, NumericIntegration()) == pytest.approx(ew, abs=1e-9)
+    assert numeric_wait(service, delay, lag) == pytest.approx(ew, abs=1e-9)
 
 
 class TestSurrogate:
@@ -228,7 +244,7 @@ class TestSurrogate:
 
     def test_min_clause_saturates_when_product_exceeds_one(self):
         d6 = Exponential(0.6)
-        ew = expected_wait(EXP_S, d6, 0.0, ClosedForm())
+        ew = closed_wait(EXP_S, d6, 0.0)
         assert ew == pytest.approx(0.625, abs=1e-12)
         got = surrogate_reward(EXP_S, d6, 1.0, 0.0)
         assert got == pytest.approx(0.5 / (0.6 + 0.625), rel=1e-12)
@@ -247,7 +263,7 @@ class TestSurrogate:
     def test_upper_bounds_exact_reward_on_grid(self):
         f = ExponentialReward(1.0)
         for lag in np.arange(0.0, 2.0001, 0.1):
-            g = reward_exact(EXP_S, EXP_D, f, float(lag), ClosedForm())
+            g = closed_reward(EXP_S, EXP_D, f, float(lag))
             gs = surrogate_reward(EXP_S, EXP_D, 1.0, float(lag))
             assert gs >= g - 1e-12
 
@@ -255,7 +271,7 @@ class TestSurrogate:
         s, d = Uniform(0.0, 2.0), Uniform(0.0, 0.66)
         f = ExponentialReward(0.5)
         for lag in np.arange(0.0, 2.0001, 0.25):
-            g = reward_exact(s, d, f, float(lag), NumericIntegration())
+            g = reward_exact(s, d, f, float(lag))
             gs = surrogate_reward(s, d, 0.5, float(lag))
             assert gs >= g - 1e-9
 
@@ -275,9 +291,9 @@ class TestDeltaStar:
 
 def test_eval_method_validation():
     with pytest.raises(ValueError):
-        NumericIntegration(0.0)
+        expected_wait(EXP_S, EXP_D, 0.0, tol=0.0)
     with pytest.raises(ValueError):
-        MonteCarlo(100)
+        monte_carlo_reward(EXP_S, EXP_D, ExponentialReward(1.0), 0.0, 1)
     with pytest.raises(ValueError):
         expected_wait(EXP_S, EXP_D, -0.1)
     with pytest.raises(ValueError):
@@ -306,25 +322,25 @@ CLOSED_FORM_PAIRS = {
 def test_closed_form_and_numeric_agree(pair, t_s, t_d, lag, kappa):
     service, delay = CLOSED_FORM_PAIRS[pair](t_s, t_d)
     f = ExponentialReward(kappa)
-    closed = reward_exact(service, delay, f, lag, ClosedForm())
-    numeric = reward_exact(service, delay, f, lag, NumericIntegration())
+    closed = closed_reward(service, delay, f, lag)
+    numeric = numeric_reward(service, delay, f, lag)
     assert numeric == pytest.approx(closed, abs=1e-9)
     assert numeric == pytest.approx(closed, rel=1e-7)
-    grid = _closed_form_or_numeric(reward_exact, _numeric_rewards, service, delay, f, lags=[lag])
+    grid = _exact_rewards(service, delay, f, [lag])
     assert grid[0] == closed
+    assert reward_exact(service, delay, f, lag) == closed
     mc = monte_carlo_reward(service, delay, f, lag, 200_000, seed=0)
     # 1e-12 covers the rounding of a point mass pair, whose batches all agree
     assert abs(mc.value - closed) <= 5.0 * mc.std_error + 1e-12
 
-    numeric_wait = expected_wait(service, delay, lag, NumericIntegration())
-    try:
-        closed_wait = expected_wait(service, delay, lag, ClosedForm())
-    except ClosedFormUnavailableError:
-        closed_wait = numeric_wait  # the fallback's answer
-    assert numeric_wait == pytest.approx(closed_wait, abs=1e-9)
-    assert numeric_wait == pytest.approx(closed_wait, rel=1e-7, abs=1e-12)
-    waits = _closed_form_or_numeric(expected_wait, _numeric_waits, service, delay, lags=[lag])
-    assert waits[0] == closed_wait
+    kernel_wait = numeric_wait(service, delay, lag)
+    closed_waits = _closed_waits(service, delay, [lag])
+    exact_wait = kernel_wait if closed_waits is None else closed_waits[0]  # the fallback's answer
+    assert kernel_wait == pytest.approx(exact_wait, abs=1e-9)
+    assert kernel_wait == pytest.approx(exact_wait, rel=1e-7, abs=1e-12)
+    waits = _exact_waits(service, delay, [lag])
+    assert waits[0] == exact_wait
+    assert expected_wait(service, delay, lag) == exact_wait
 
 
 # The analytic benchmark workload's first (t_s, t_d) draw for seeds 1 and 2.
@@ -351,7 +367,7 @@ def _pinned_case(key):
 
 
 # (best lag, G on the 16 lags 0, step, ..., 15 step), computed by per-lag
-# adaptive quadrature (nested scipy.quad) at NumericIntegration(1e-9).
+# adaptive quadrature (nested scipy.quad) at tolerance 1e-9.
 PINNED_G = {
     (1, "tn/tn exp1"): (0.6014185949640307, [
         0.22452233198383204, 0.25586610465124315, 0.2786426449108404,
@@ -437,7 +453,7 @@ def test_exact_grid_matches_pinned_quadrature(key):
     assert grid.best_lag == best_lag
     for i in (0, 7, 15):
         lag = grid.points[i].lag
-        assert reward_exact(service, delay, f, lag, NumericIntegration()) == pytest.approx(
+        assert reward_exact(service, delay, f, lag) == pytest.approx(
             pinned[i], abs=1e-9
         )
 
@@ -461,6 +477,121 @@ def test_rule_order_cap_warns(monkeypatch):
     monkeypatch.setattr(analytics, "_ORDERS", (2, 4))
     service, delay = Exponential(1.0), Uniform(0.0, 0.66)
     with pytest.warns(IntegrationWarning):
-        reward_exact(service, delay, PolynomialReward(2.0), 0.2, NumericIntegration())
+        reward_exact(service, delay, PolynomialReward(2.0), 0.2)
     with pytest.warns(IntegrationWarning):
-        expected_wait(service, delay, 0.2, NumericIntegration())
+        expected_wait(service, delay, 0.2)
+
+
+def _scalar_closed_wait(service, delay, lag):
+    """The closed-form E[W] of one lag, written out with scalar math."""
+    if isinstance(service, Exponential):
+        lam_s, lam_d = service.rate, delay.rate
+        return lam_d / (lam_s + lam_d) * math.exp(-lam_s * lag) / lam_s
+    return max(service.value - delay.value - lag, 0.0)
+
+
+def _scalar_closed_reward(service, delay, f, lag):
+    """The closed-form G of one lag, written out with scalar math."""
+    if isinstance(service, Deterministic):
+        w = max(service.value - lag - delay.value, 0.0)
+        return float(f.eval(w + service.value)) / (lag + delay.value + w)
+    lam_s, kappa = service.rate, f.kappa
+    p_bar = math.exp(-lam_s * lag) * delay.mgf(-lam_s)
+    mw = 1.0 - p_bar * kappa / (lam_s + kappa)
+    return service.mgf(-kappa) * mw / (lag + delay.mean + p_bar / lam_s)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that gets one entry per call of the quadrature kernel."""
+    calls = []
+    kernel = analytics._wait_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "_wait_terms", counted)
+    return calls
+
+
+DISPATCH_LAGS = [float(lag) for lag in np.linspace(0.0, 2.4, 16)]
+
+# (service, delay, reward, whether E[W] has a closed form too)
+CLOSED_FORM_REWARDS = {
+    "exp/exp exp": (Exponential(1.0), Exponential(0.33), ExponentialReward(1.0), True),
+    "exp/uniform exp": (Exponential(1.0), Uniform(0.0, 0.66), ExponentialReward(0.3), False),
+    "exp/det exp": (Exponential(0.8), Deterministic(0.4), ExponentialReward(1.0), False),
+    "det/det exp": (Deterministic(1.0), Deterministic(0.4), ExponentialReward(1.0), True),
+    "det/det poly": (Deterministic(1.0), Deterministic(0.4), PolynomialReward(2.0), True),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_REWARDS)
+def test_closed_form_pairs_never_call_the_kernel(case, kernel_calls):
+    service, delay, f, closed_wait_exists = CLOSED_FORM_REWARDS[case]
+    rewards = _exact_rewards(service, delay, f, DISPATCH_LAGS)
+    assert rewards.tolist() == [
+        _scalar_closed_reward(service, delay, f, lag) for lag in DISPATCH_LAGS
+    ]
+    assert [reward_exact(service, delay, f, lag) for lag in DISPATCH_LAGS] == rewards.tolist()
+    assert kernel_calls == []
+    if closed_wait_exists:
+        waits = _exact_waits(service, delay, DISPATCH_LAGS)
+        assert waits.tolist() == [
+            _scalar_closed_wait(service, delay, lag) for lag in DISPATCH_LAGS
+        ]
+        assert [expected_wait(service, delay, lag) for lag in DISPATCH_LAGS] == waits.tolist()
+        assert kernel_calls == []
+    else:
+        assert _closed_waits(service, delay, DISPATCH_LAGS) is None
+
+
+@pytest.mark.parametrize("service, delay, f", [
+    (Uniform(0.0, 2.0), Uniform(0.0, 0.66), ExponentialReward(1.0)),
+    (Exponential(1.0), Exponential(0.33), PolynomialReward(2.0)),
+    (Uniform(0.0, 2.0), Deterministic(0.4), ExponentialReward(1.0)),
+], ids=["unif/unif exp", "exp/exp poly", "unif/det exp"])
+def test_pairs_without_a_closed_form_make_one_kernel_call_per_grid(service, delay, f,
+                                                                   kernel_calls):
+    assert _closed_rewards(service, delay, f, DISPATCH_LAGS) is None
+    rewards = _exact_rewards(service, delay, f, DISPATCH_LAGS)
+    assert len(kernel_calls) == 1
+    assert rewards.tolist() == _numeric_rewards(service, delay, f, DISPATCH_LAGS, 1e-9).tolist()
+    if _closed_waits(service, delay, DISPATCH_LAGS) is None:
+        kernel_calls.clear()
+        waits = _exact_waits(service, delay, DISPATCH_LAGS)
+        assert len(kernel_calls) == 1
+        assert waits.tolist() == _numeric_waits(service, delay, DISPATCH_LAGS, 1e-9).tolist()
+
+
+F1 = ExponentialReward(1.0)
+UNIF_S = Uniform(0.0, 2.0)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: reward_exact(UNIF_S, EXP_D, F1, math.nan), "lag"),
+    (lambda: reward_exact(UNIF_S, EXP_D, F1, math.inf), "lag"),
+    (lambda: reward_exact(EXP_S, EXP_D, F1, math.inf), "lag"),
+    (lambda: expected_wait(UNIF_S, EXP_D, math.inf), "lag"),
+    (lambda: expected_wait(EXP_S, EXP_D, -0.1), "lag"),
+    (lambda: surrogate_reward(EXP_S, EXP_D, 1.0, math.nan), "lag"),
+    (lambda: wait_derivative(EXP_S, EXP_D, math.inf), "lag"),
+    (lambda: reward_exact(UNIF_S, EXP_D, F1, 0.2, tol=math.nan), "tol"),
+    (lambda: reward_exact(UNIF_S, EXP_D, F1, 0.2, tol=-1e-9), "tol"),
+    (lambda: expected_wait(UNIF_S, EXP_D, 0.2, tol=math.inf), "tol"),
+    (lambda: surrogate_reward(EXP_S, EXP_D, 1.0, 0.2, tol=0.0), "tol"),
+    (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, 0.2, 0), "n"),
+    (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, 0.2, 1), "n"),
+    (lambda: monte_carlo_wait(UNIF_S, EXP_D, 0.2, 0), "n"),
+    (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, -1.0, 10_000), "lag"),
+    (lambda: monte_carlo_wait(UNIF_S, EXP_D, -1.0, 10_000), "lag"),
+    (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, math.nan, 10_000), "lag"),
+    (lambda: monte_carlo_wait(UNIF_S, EXP_D, math.nan, 10_000), "lag"),
+])
+def test_bad_arguments_name_their_parameter(call, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the kernel's IntegrationWarning must not be reached
+        with pytest.raises(ParameterError) as err:
+            call()
+    assert err.value.name == field

@@ -204,6 +204,8 @@ _GRID = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 20_000}
     ('objective="golden"', "objective"),
     ('reward={"kind": "exp", "kappa": NaN}', "reward"),
     ('service={"kind": "deterministic", "value": NaN}', "service"),
+    ('lag_min="0"', "lag_min"),
+    ("lag_max=true", "lag_max"),
 ])
 def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, _GRID)
@@ -216,9 +218,10 @@ def test_grid_search_errors_name_their_field(tmp_path, capsys, override, field):
 _BAYES = {**EXP_EXP, "reward": {"kind": "exp", "kappa": 1.0}, "n": 2000}
 _REGION = {"service_family": "exponential", "delay_family": "uniform", "kappa": 1.0,
            "ts": [0.5, 1.0], "td": {"min": 0.2, "max": 0.6, "count": 3}}
-_SUITE = {"cases": [{**EXP_EXP, "id": "A1", "reward": {"kind": "exp", "kappa": 1.0},
-                     "methods": ["bayes"], "n": 6000, "seeds": [1],
-                     "reporting": {"kind": "last_k", "k": 1000}}]}
+_CASE = {**EXP_EXP, "id": "A1", "reward": {"kind": "exp", "kappa": 1.0},
+         "methods": ["bayes"], "n": 6000, "seeds": [1],
+         "reporting": {"kind": "last_k", "k": 1000}}
+_SUITE = {"cases": [_CASE]}
 
 
 @pytest.mark.parametrize("command, base, override, field", [
@@ -248,6 +251,16 @@ _SUITE = {"cases": [{**EXP_EXP, "id": "A1", "reward": {"kind": "exp", "kappa": 1
     ("mean-shift", _MEAN_SHIFT, "width=500.5", "width"),
     ("suite", _SUITE, 'grid_n="abc"', "grid_n"),
     ("suite", _SUITE, "grid_n=1e5", "grid_n"),
+    # number fields are JSON numbers: no string, no bool
+    ("simulate", {**_BAYES, "n": 50}, "lag=true", "lag"),
+    ("simulate", {**_BAYES, "n": 50}, 'lag="0.5"', "lag"),
+    ("region-scan", _REGION, "kappa=true", "kappa"),
+    ("region-scan", _REGION, 'ts={"min": 0.2, "max": 3, "count": 3.7}', "ts.count"),
+    ("region-scan", _REGION, 'td=[0.2, "0.5", true]', "td"),
+    ("bayes", _BAYES, "alpha0=true", "alpha0"),
+    ("bayes", _BAYES, 'eps_idle="3"', "eps_idle"),
+    # a grid_n the simulated grid cannot use fails before any row runs
+    ("suite", {"cases": [{**_CASE, "methods": ["grid", "bayes"]}]}, "grid_n=5000", "grid_n"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)
@@ -255,6 +268,23 @@ def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, 
                 "--set", override]) == EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["field"] == field
+
+
+@pytest.mark.parametrize("case", [
+    # the default 5000-job reporting window does not fit 2000 jobs
+    {key: value for key, value in _CASE.items() if key != "reporting"}
+    | {"id": "short", "n": 2000},
+    {**_CASE, "id": "uncovered", "n": 20_000,
+     "schedule": {"kind": "abrupt", "segments": [[100, 1.0, 0.33]]}},
+], ids=["window", "schedule"])
+def test_suite_run_errors_name_cases_and_the_case(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, {"cases": [_CASE, case]})
+    out = tmp_path / "out"
+    assert run(["suite", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == "cases"
+    assert f"case {case['id']}" in record["error"]
+    assert not (out / "suite.csv").exists()
 
 
 @pytest.mark.parametrize("command, base, schedule", [

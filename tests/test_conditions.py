@@ -101,7 +101,7 @@ def test_general_checker_accepts_duck_typed_reward():
 
 
 def test_reward_exact_accepts_duck_typed_reward():
-    from qlag import NumericIntegration, monte_carlo_reward, reward_exact
+    from qlag import monte_carlo_reward, reward_exact
 
     class GaussDecay:
         def eval(self, t):
@@ -109,7 +109,7 @@ def test_reward_exact_accepts_duck_typed_reward():
 
     s, d = Uniform(0.0, 2.0), Uniform(0.0, 0.66)
     est = monte_carlo_reward(s, d, GaussDecay(), 0.1, 1_000_000, seed=3)
-    numeric = reward_exact(s, d, GaussDecay(), 0.1, NumericIntegration())
+    numeric = reward_exact(s, d, GaussDecay(), 0.1)
     assert numeric == pytest.approx(est.value, abs=3.5 * est.std_error)
 
 

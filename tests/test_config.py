@@ -15,13 +15,11 @@ from qlag import (
 )
 from qlag.config import (
     ConfigError,
-    distribution_to_obj,
     parse_distribution,
     parse_experiment,
     parse_reward,
     parse_schedule,
     parse_window,
-    reward_to_obj,
 )
 
 
@@ -49,11 +47,6 @@ class TestDistributionLiterals:
             parse_distribution({"kind": "gamma", "mean": 1.0}, "service")
         assert err.value.field == "service.kind"
 
-    def test_round_trip(self):
-        for spec in (Exponential(0.33), Uniform(0.0, 0.66),
-                     TruncatedNormal(1.0, 0.5, 0.0, 2.0), Deterministic(0.5)):
-            assert parse_distribution(distribution_to_obj(spec)) == spec
-
 
 class TestRewardLiterals:
     def test_kinds(self):
@@ -66,10 +59,6 @@ class TestRewardLiterals:
         assert err.value.field == "reward.kappa"
         with pytest.raises(ConfigError):
             parse_reward({"kind": "exp", "kappa": -1.0})
-
-    def test_round_trip(self):
-        for f in (ExponentialReward(0.5), PolynomialReward(1.5)):
-            assert parse_reward(reward_to_obj(f)) == f
 
 
 class TestScheduleLiterals:

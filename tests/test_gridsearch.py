@@ -11,10 +11,9 @@ from qlag import (
     Exponential,
     ExponentialReward,
     PolynomialReward,
-    reward_exact,
-    ClosedForm,
     optimize,
 )
+from qlag.analytics import _closed_rewards
 from qlag.gridsearch import build_lag_grid
 
 F1 = ExponentialReward(1.0)
@@ -99,7 +98,7 @@ def test_exact_points_match_reward_exact():
     result = optimize(EXP_S, EXP_D, F1, objective="exact", lag_max=0.5, step=0.25)
     for p in result.points:
         assert p.reward == pytest.approx(
-            reward_exact(EXP_S, EXP_D, F1, p.lag, ClosedForm()), rel=1e-9
+            _closed_rewards(EXP_S, EXP_D, F1, [p.lag])[0], rel=1e-9
         )
         assert p.std_error == 0.0
 

@@ -9,6 +9,7 @@ from qlag import (
     ExponentialReward,
     ExperimentSpec,
     GradualLinear,
+    ParameterError,
     Stationary,
     TruncatedNormal,
     Uniform,
@@ -21,6 +22,7 @@ from qlag import (
     suite_to_csv,
     surrogate_reward,
 )
+from qlag import scenarios
 from qlag.scenarios import has_closed_form_mgf
 
 F1 = ExponentialReward(1.0)
@@ -148,6 +150,21 @@ class TestRunSuite:
         e_fields = lines[2].split(",")
         assert all(a_fields)  # every column populated
         assert e_fields[3] == "" and e_fields[6] == ""  # G_sur and G_tb dashes
+
+    def test_small_grid_n_fails_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_suite_row", lambda *args: pytest.fail("a row ran"))
+        specs = [_spec(Exponential(1.0), Exponential(0.33), {"bayes"}),
+                 _spec(Exponential(1.0), Exponential(0.33), {"grid"})]
+        with pytest.raises(ParameterError) as err:
+            run_suite(specs, grid_n=9_999)
+        assert err.value.name == "grid_n"
+
+    def test_row_error_names_its_case_and_seed(self):
+        short = _spec(Exponential(1.0), Exponential(0.33), {"bayes"}, n=2000, seeds=(4,),
+                      case_id="B7")  # the 5000-job reporting window does not fit
+        with pytest.raises(ParameterError, match="case B7, seed 4: reporting window") as err:
+            run_suite([short])
+        assert err.value.name == "specs"
 
     def test_bayes_close_to_simulated_grid_for_exp_service(self):
         # exponential-service geometry keeps the zero-lag neighborhood near
