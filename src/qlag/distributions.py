@@ -1,8 +1,7 @@
 """Parametric laws for service and delay times.
 
 All supports live inside [0, inf): the waiting-time algebra downstream needs
-nonnegative draws. Means and MGFs are closed form wherever the law allows;
-the truncated normal falls back to tight quadrature, and the cross-law tail
+nonnegative draws. Means and MGFs are closed form; the cross-law tail
 probability P(S - D > x) carries a seeded Monte-Carlo safety net for pairs
 that adaptive integration cannot handle.
 """
@@ -306,15 +305,15 @@ class TruncatedNormal(DistributionSpec):
         )
 
     def mgf(self, a):
-        val, _ = scipy.integrate.quad(
-            lambda x: math.exp(a * x) * self.pdf(x),
-            self.lower,
-            self.upper,
-            epsabs=_QUAD_EPS,
-            epsrel=_QUAD_EPS,
-            limit=200,
-        )
-        return val
+        # exp(mu*a + sigma^2 a^2 / 2) * (Phi(beta - sigma*a) - Phi(alpha - sigma*a)) / Z
+        # (Johnson, Kotz & Balakrishnan, vol. 1, sec. 10.1), summed in logs so that a
+        # large |sigma*a| neither overflows nor underflows; a window above the shifted
+        # mean takes its mass from the upper tail, where the difference does not cancel.
+        lo, hi = (z - self.sigma * a for z in self._std_bounds)
+        upper, lower = (-lo, -hi) if lo > 0.0 else (hi, lo)
+        log_upper, log_lower = (float(scipy.special.log_ndtr(z)) for z in (upper, lower))
+        log_mass = log_upper + math.log(-math.expm1(log_lower - log_upper))
+        return math.exp(a * (self.mu + 0.5 * self.sigma ** 2 * a) + log_mass) / self._z_mass
 
     def support(self):
         return (self.lower, self.upper)
@@ -456,14 +455,14 @@ def prob_diff_exceeds(
     *,
     tol: float = QUAD_TOL,
 ) -> float:
-    """P(S - D > x) for independent S ~ service, D ~ delay and x >= 0.
+    """P(S - D > x) for independent S ~ service, D ~ delay and finite x >= 0.
 
     Closed form for exponential/exponential and for any pair involving a
     point mass; otherwise adaptive integration of the convolution tail,
     with a seeded 1e7-sample Monte-Carlo fallback if integration fails.
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
         return 1.0 if service.value - delay.value > x else 0.0
     if isinstance(delay, Deterministic):

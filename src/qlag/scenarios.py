@@ -88,7 +88,8 @@ class ExperimentSpec:
                 )
             if not (has_closed_form_mgf(self.service) and has_closed_form_mgf(self.delay)):
                 raise ValueError(
-                    f"{self.id}: surrogate columns need closed-form MGFs on both laws"
+                    f"{self.id}: surrogate columns need exponential, uniform or "
+                    "point-mass laws on both sides"
                 )
             try:
                 self.delay.mgf(self.reward.kappa)

@@ -116,6 +116,42 @@ def test_truncnorm_mgf_against_closed_form(a):
     assert spec.mgf(a) == pytest.approx(oracle, rel=1e-9)
 
 
+# windows around, below and (the last four) entirely above mu; the closed form
+# takes its mass difference in the upper tail while sigma*a < alpha
+MGF_PIN_LAWS = [
+    TruncatedNormal(1.0, 0.5, 0.0, 2.0),
+    TruncatedNormal(0.33, 0.165, 0.0, 0.66),
+    TruncatedNormal(2.0, 1.5, 0.0, 6.0),
+    TruncatedNormal(0.5, 0.1, 0.3, 0.55),
+    TruncatedNormal(2.5, 0.1, 0.0, 0.5),
+    TruncatedNormal(1.0, 0.5, 1.2, 2.5),
+    TruncatedNormal(1.0, 0.2, 1.3, 1.6),
+    TruncatedNormal(0.2, 0.3, 0.5, 3.0),
+    TruncatedNormal(0.2, 0.3, 1.7, 3.0),
+]
+
+
+@pytest.mark.parametrize("spec", MGF_PIN_LAWS, ids=repr)
+def test_truncnorm_mgf_matches_quadrature(spec):
+    for a in np.linspace(-4.0, 2.0, 13):
+        oracle, _ = integrate.quad(lambda x: math.exp(a * x) * spec.pdf(x),
+                                   spec.lower, spec.upper, epsabs=0.0, epsrel=1e-13, limit=500)
+        assert spec.mgf(float(a)) == pytest.approx(oracle, rel=1e-12, abs=0.0), a
+
+
+@pytest.mark.parametrize("spec, a", [
+    (TruncatedNormal(3.0, 1.5, 0.0, 6.0), -100.0),
+    (TruncatedNormal(0.33, 0.165, 0.0, 0.66), 300.0),
+])
+def test_truncnorm_mgf_at_large_arguments(spec, a):
+    # exp(mu*a + sigma^2 a^2 / 2) alone overflows here, and the normal mass it
+    # multiplies underflows
+    oracle, _ = integrate.quad(lambda x: math.exp(a * x) * spec.pdf(x), spec.lower, spec.upper,
+                               points=[spec.lower + 0.01, spec.upper - 0.01],
+                               epsabs=0.0, epsrel=1e-13, limit=500)
+    assert spec.mgf(a) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
 def test_exponential_mgf_divergence():
     with pytest.raises(DivergentMGFError):
         Exponential(0.33).mgf(1.0 / 0.33)
@@ -153,6 +189,12 @@ class TestProbDiffExceeds:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             prob_diff_exceeds(Exponential(1.0), Exponential(0.33), -0.1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_rejected(self, x):
+        # NaN slips past a plain x < 0 test into the 1e7-sample fallback
+        with pytest.raises(ValueError, match="x must be finite"):
+            prob_diff_exceeds(Uniform(0.0, 2.0), Exponential(0.33), x)
 
     @pytest.mark.parametrize(
         "s,d",
