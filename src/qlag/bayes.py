@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._fmt import fmt_float, write_csv
+from ._fmt import write_table
 from .distributions import DistributionSpec
 from .simulator import (
     STATE_BUSY,
@@ -312,21 +312,14 @@ def adaptive_log_to_csv(result: AdaptiveResult, f, path) -> None:
     traj = result.trajectory
     n = len(traj)
     width = result.reporting.size if result.reporting.kind != "all" else n
-    windowed = estimate_reward(traj, f, Window.sliding(width))
-
-    def belief(values, j):
-        return "" if values is None else fmt_float(values[j])
-
-    def rows():
-        for j in range(n):
-            ratio = windowed[j + 1 - width] if j + 1 >= width else math.nan
-            yield [
-                str(j + 1),
-                fmt_float(result.lags[j]),
-                belief(result.alphas, j),
-                belief(result.betas, j),
-                STATE_BUSY if traj.busy[j] else STATE_IDLE,
-                fmt_float(ratio) if math.isfinite(ratio) else "",
-            ]
-
-    write_csv(path, ["index", "lag_drawn", "alpha", "beta", "state", "reward_window"], rows())
+    windowed = estimate_reward(traj, f, Window.sliding(width)).tolist()
+    no_belief = [None] * n
+    write_table(path, {
+        "index": range(1, n + 1),
+        "lag_drawn": result.lags,
+        "alpha": no_belief if result.alphas is None else result.alphas,
+        "beta": no_belief if result.betas is None else result.betas,
+        "state": np.where(traj.busy, STATE_BUSY, STATE_IDLE),
+        "reward_window": [None] * (width - 1)
+        + [ratio if math.isfinite(ratio) else None for ratio in windowed],
+    })

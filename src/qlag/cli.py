@@ -246,6 +246,14 @@ def _bayes_config(cfg: dict) -> BayesConfig:
     return BayesConfig(**fields)
 
 
+def _reward_summary(reward, window: Window, key: str) -> dict:
+    """The summary field of a reward estimate: the last window's value as
+    reward_final_window under a sliding window, else the estimate under key."""
+    if window.kind == "sliding":
+        return {"reward_final_window": fmt_float(reward[-1])}
+    return {key: fmt_float(reward)}
+
+
 def _cmd_simulate(cfg: dict, out: _OutputDir, seed: int) -> int:
     service = parse_distribution(cfg.get("service"), "service")
     delay = parse_distribution(cfg.get("delay"), "delay")
@@ -268,7 +276,7 @@ def _cmd_simulate(cfg: dict, out: _OutputDir, seed: int) -> int:
         "mean_iat": fmt_float(float(traj.iat[1:].mean())),
     }
     if estimate is not None:
-        summary["reward_estimate"] = fmt_float(estimate)
+        summary.update(_reward_summary(estimate, window, "reward_estimate"))
     out.write_json("summary.json", summary)
     return EXIT_OK
 
@@ -335,16 +343,12 @@ def _cmd_bayes(cfg: dict, out: _OutputDir, seed: int) -> int:
                 "updates_applied": post.updates_applied,
             },
         )
-    reward = result.reward
     summary = {
         "seed": seed,
         "n": n,
         "mean_lag_estimate": fmt_float(result.lag_estimate),
+        **_reward_summary(result.reward, reporting, "reward"),
     }
-    if reporting.kind == "sliding":
-        summary["reward_final_window"] = fmt_float(float(reward[-1]))
-    else:
-        summary["reward"] = fmt_float(float(reward))
     out.write_json("summary.json", summary)
     return EXIT_OK
 

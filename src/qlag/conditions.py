@@ -23,7 +23,7 @@ from .distributions import (
     law_for_family,
     prob_diff_exceeds,
 )
-from ._fmt import fmt_float, write_csv
+from ._fmt import fmt_float, write_table
 from .analytics import _check_positive, _exact_waits
 from .simulator import ParameterError
 
@@ -291,17 +291,12 @@ class RegionScan:
     def verdict_at(self, i: int, j: int) -> str:
         return self.verdicts[i][j]
 
-    def rows(self):
-        for i, t_s in enumerate(self.ts_values):
-            for j, t_d in enumerate(self.td_values):
-                yield t_s, t_d, self.verdicts[i][j]
-
     def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["t_s", "t_d", "verdict"],
-            ([fmt_float(t_s), fmt_float(t_d), v] for t_s, t_d, v in self.rows()),
-        )
+        write_table(path, {
+            "t_s": np.repeat(self.ts_values, len(self.td_values)),
+            "t_d": np.tile(self.td_values, len(self.ts_values)),
+            "verdict": [v for row in self.verdicts for v in row],
+        })
 
 
 def region_scan(

@@ -35,15 +35,18 @@ def _is_a(value: Any, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _typed(value: Any, field: str, kinds) -> Any:
+    if not _is_a(value, kinds):
+        raise ConfigError(field, f"expected {kinds}, got {type(value).__name__}")
+    return value
+
+
 def _require(obj: dict, key: str, path: str, kinds) -> Any:
     """obj[key] if it is one of kinds and not a bool; path "" names a top-level key."""
     field = f"{path}.{key}" if path else key
     if key not in obj:
         raise ConfigError(field, "missing required field")
-    value = obj[key]
-    if not _is_a(value, kinds):
-        raise ConfigError(field, f"expected {kinds}, got {type(value).__name__}")
-    return value
+    return _typed(obj[key], field, kinds)
 
 
 def _number(obj: dict, key: str, path: str) -> float:
@@ -54,108 +57,86 @@ def _integer(obj: dict, key: str, path: str) -> int:
     return int(_require(obj, key, path, int))
 
 
+def _segments(obj: dict, key: str, path: str) -> tuple:
+    """obj[key] as abrupt-schedule segments [integer length, number t_s, number t_d]."""
+    segments = []
+    for i, seg in enumerate(_require(obj, key, path, list)):
+        field = f"{path}.{key}[{i}]"
+        if not isinstance(seg, (list, tuple)) or len(seg) != 3:
+            raise ConfigError(field, "expected [length, t_s, t_d]")
+        if not _is_a(seg[0], int):
+            raise ConfigError(f"{field}[0]", "segment length must be an integer")
+        t_s, t_d = (float(_typed(seg[j], f"{field}[{j}]", (int, float))) for j in (1, 2))
+        segments.append((seg[0], t_s, t_d))
+    return tuple(segments)
+
+
 def _check_mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
     return obj
 
 
-def parse_distribution(obj: Any, path: str = "distribution") -> DistributionSpec:
+# Each literal family maps a kind to its constructor and the (field, reader)
+# pairs that give the constructor's arguments in order.
+_DISTRIBUTIONS = {
+    "exponential": (Exponential, (("mean", _number),)),
+    "uniform": (Uniform, (("lower", _number), ("upper", _number))),
+    "truncnorm": (TruncatedNormal, (("mu", _number), ("sigma", _number),
+                                    ("lower", _number), ("upper", _number))),
+    "deterministic": (Deterministic, (("value", _number),)),
+}
+_REWARDS = {
+    "exp": (ExponentialReward, (("kappa", _number),)),
+    "poly": (PolynomialReward, (("gamma", _number),)),
+}
+_SCHEDULES = {
+    "stationary": (Stationary, (("t_s", _number), ("t_d", _number))),
+    "gradual": (GradualLinear, (("t_s_start", _number), ("t_s_end", _number),
+                                ("t_d_start", _number), ("t_d_end", _number),
+                                ("over_jobs", _integer))),
+    "abrupt": (AbruptPiecewise, (("segments", _segments),)),
+}
+_WINDOWS = {
+    "all": (Window.all, ()),
+    "last_k": (Window.last_k, (("k", _integer),)),
+    "sliding": (Window.sliding, (("width", _integer),)),
+}
+
+
+def _literal(obj: Any, path: str, kinds: dict) -> Any:
+    """The {"kind": ..., ...} literal at path, built by its family's table; a
+    field that is missing or mistyped is named, and a value the constructor
+    rejects names the literal."""
     obj = _check_mapping(obj, path)
     kind = _require(obj, "kind", path, str)
+    if kind not in kinds:
+        *head, last = kinds
+        raise ConfigError(
+            f"{path}.kind", f"unknown kind {kind!r}; expected {', '.join(head)} or {last}"
+        )
+    build, readers = kinds[kind]
+    args = [read(obj, key, path) for key, read in readers]
     try:
-        if kind == "exponential":
-            return Exponential(_number(obj, "mean", path))
-        if kind == "uniform":
-            return Uniform(_number(obj, "lower", path), _number(obj, "upper", path))
-        if kind == "truncnorm":
-            return TruncatedNormal(
-                _number(obj, "mu", path),
-                _number(obj, "sigma", path),
-                _number(obj, "lower", path),
-                _number(obj, "upper", path),
-            )
-        if kind == "deterministic":
-            return Deterministic(_number(obj, "value", path))
-    except ConfigError:
-        raise
+        return build(*args)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(
-        f"{path}.kind",
-        f"unknown kind {kind!r}; expected exponential, uniform, truncnorm or deterministic",
-    )
+
+
+def parse_distribution(obj: Any, path: str = "distribution") -> DistributionSpec:
+    return _literal(obj, path, _DISTRIBUTIONS)
 
 
 def parse_reward(obj: Any, path: str = "reward") -> RewardSpec:
-    obj = _check_mapping(obj, path)
-    kind = _require(obj, "kind", path, str)
-    try:
-        if kind == "exp":
-            return ExponentialReward(_number(obj, "kappa", path))
-        if kind == "poly":
-            return PolynomialReward(_number(obj, "gamma", path))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected exp or poly")
+    return _literal(obj, path, _REWARDS)
 
 
 def parse_schedule(obj: Any, path: str = "schedule") -> Optional[ParamSchedule]:
-    if obj is None:
-        return None
-    obj = _check_mapping(obj, path)
-    kind = _require(obj, "kind", path, str)
-    try:
-        if kind == "stationary":
-            return Stationary(_number(obj, "t_s", path), _number(obj, "t_d", path))
-        if kind == "gradual":
-            return GradualLinear(
-                _number(obj, "t_s_start", path),
-                _number(obj, "t_s_end", path),
-                _number(obj, "t_d_start", path),
-                _number(obj, "t_d_end", path),
-                _integer(obj, "over_jobs", path),
-            )
-        if kind == "abrupt":
-            raw = _require(obj, "segments", path, list)
-            segments = []
-            for i, seg in enumerate(raw):
-                seg_path = f"{path}.segments[{i}]"
-                if not isinstance(seg, (list, tuple)) or len(seg) != 3:
-                    raise ConfigError(seg_path, "expected [length, t_s, t_d]")
-                length, t_s, t_d = seg
-                if not _is_a(length, int):
-                    raise ConfigError(f"{seg_path}[0]", "segment length must be an integer")
-                segments.append((length, float(t_s), float(t_d)))
-            return AbruptPiecewise(tuple(segments))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(
-        f"{path}.kind", f"unknown kind {kind!r}; expected stationary, gradual or abrupt"
-    )
+    return None if obj is None else _literal(obj, path, _SCHEDULES)
 
 
 def parse_window(obj: Any, path: str = "window") -> Window:
-    if obj == "all":
-        return Window.all()
-    obj = _check_mapping(obj, path)
-    kind = _require(obj, "kind", path, str)
-    try:
-        if kind == "all":
-            return Window.all()
-        if kind == "last_k":
-            return Window.last_k(_integer(obj, "k", path))
-        if kind == "sliding":
-            return Window.sliding(_integer(obj, "width", path))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected all, last_k or sliding")
+    return Window.all() if obj == "all" else _literal(obj, path, _WINDOWS)
 
 
 def parse_experiment(obj: Any, path: str = "case") -> ExperimentSpec:
@@ -168,19 +149,18 @@ def parse_experiment(obj: Any, path: str = "case") -> ExperimentSpec:
             raise ConfigError(f"{path}.seeds[{i}]", "seeds must be integers")
     reporting = parse_window(obj.get("reporting", {"kind": "last_k", "k": 5000}),
                              f"{path}.reporting")
+    fields = dict(
+        id=case_id,
+        service=parse_distribution(_require(obj, "service", path, dict), f"{path}.service"),
+        delay=parse_distribution(_require(obj, "delay", path, dict), f"{path}.delay"),
+        reward=parse_reward(_require(obj, "reward", path, dict), f"{path}.reward"),
+        methods=frozenset(methods),
+        schedule=parse_schedule(obj.get("schedule"), f"{path}.schedule"),
+        n=_integer(obj, "n", path),
+        seeds=tuple(seeds),
+        reporting=reporting,
+    )
     try:
-        return ExperimentSpec(
-            id=case_id,
-            service=parse_distribution(_require(obj, "service", path, dict), f"{path}.service"),
-            delay=parse_distribution(_require(obj, "delay", path, dict), f"{path}.delay"),
-            reward=parse_reward(_require(obj, "reward", path, dict), f"{path}.reward"),
-            methods=frozenset(methods),
-            schedule=parse_schedule(obj.get("schedule"), f"{path}.schedule"),
-            n=_integer(obj, "n", path),
-            seeds=tuple(seeds),
-            reporting=reporting,
-        )
-    except ConfigError:
-        raise
+        return ExperimentSpec(**fields)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc

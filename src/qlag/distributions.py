@@ -286,9 +286,15 @@ class TruncatedNormal(DistributionSpec):
         return ((self.lower - self.mu) / self.sigma, (self.upper - self.mu) / self.sigma)
 
     @cached_property
+    def _sign(self) -> float:
+        # -1 reflects a window above mu into the lower tail, where differences
+        # of normal CDF levels do not cancel
+        return -1.0 if self._std_bounds[0] > 0.0 else 1.0
+
+    @cached_property
     def _z_mass(self) -> float:
-        a, b = self._std_bounds
-        return float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
+        a, b = (self._sign * z for z in self._std_bounds)
+        return self._sign * float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
 
     @property
     def mean(self) -> float:
@@ -297,9 +303,10 @@ class TruncatedNormal(DistributionSpec):
 
     def sample(self, rng, size=None):
         # inverse CDF on the truncated quantile range: robust for any window
-        a, b = self._std_bounds
+        s = self._sign
+        a, b = sorted(s * z for z in self._std_bounds)
         u = rng.uniform(float(scipy.special.ndtr(a)), float(scipy.special.ndtr(b)), size)
-        x = self.mu + self.sigma * scipy.special.ndtri(u)
+        x = self.mu + s * self.sigma * scipy.special.ndtri(u)
         return np.clip(x, self.lower, self.upper) if size is not None else float(
             min(max(x, self.lower), self.upper)
         )
@@ -322,7 +329,8 @@ class TruncatedNormal(DistributionSpec):
         a, b = self._std_bounds
         fa, fb = float(scipy.special.ndtr(a)), float(scipy.special.ndtr(b))
         z = float(scipy.special.ndtri(fa + q * (fb - fa)))
-        if z == math.inf:  # the CDF level rounded to 1: solve for the upper tail mass
+        if z == math.inf or self._sign < 0:
+            # a CDF level that rounded to 1, or a window above mu: solve in the upper tail
             tail_b = float(scipy.special.ndtr(-b))
             upper_tail = (1.0 - q) * (float(scipy.special.ndtr(-a)) - tail_b) + tail_b
             z = -float(scipy.special.ndtri(upper_tail))
@@ -338,9 +346,10 @@ class TruncatedNormal(DistributionSpec):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        a, _ = self._std_bounds
-        z = (np.clip(x, self.lower, self.upper) - self.mu) / self.sigma
-        mass = (scipy.special.ndtr(z) - scipy.special.ndtr(a)) / self._z_mass
+        s = self._sign
+        a = s * self._std_bounds[0]
+        z = s * ((np.clip(x, self.lower, self.upper) - self.mu) / self.sigma)
+        mass = s * (scipy.special.ndtr(z) - scipy.special.ndtr(a)) / self._z_mass
         out = np.where(x < self.lower, 0.0, np.where(x > self.upper, 1.0, mass))
         return out if out.ndim else float(out)
 

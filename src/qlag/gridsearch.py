@@ -10,12 +10,12 @@ per grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from ._fmt import fmt_float, write_csv
+from ._fmt import fmt_float, write_table
 from .analytics import _exact_rewards, _surrogate_rewards
 from .distributions import DistributionSpec
 from .reward import ExponentialReward
@@ -42,16 +42,9 @@ class GridResult:
     objective: str
 
     def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["lag", "reward", "std_error"],
-            ([fmt_float(p.lag), fmt_float(p.reward), fmt_float(p.std_error)]
-             for p in self.points),
-            trailer=(
-                f"# best_lag={fmt_float(self.best_lag)}"
-                f" best_reward={fmt_float(self.best_reward)}"
-            ),
-        )
+        best = f"# best_lag={fmt_float(self.best_lag)} best_reward={fmt_float(self.best_reward)}"
+        write_table(path, {f.name: [getattr(p, f.name) for p in self.points]
+                           for f in fields(GridPoint)}, trailer=best)
 
 
 def build_lag_grid(lag_min: float, lag_max: float, step: float) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 A suite row compares, for one (case, seed): the surrogate optimum G_sur, the
 simulated grid-search optimum G_sim, the adaptively learned reward G_be, and
-the surrogate evaluated at the learner's final lag estimate, G_tb. Cases with
-truncated normal laws carry no G_sur/G_tb: their MGFs have no closed form,
-and the suite mirrors that by leaving the surrogate columns empty.
+the surrogate evaluated at the learner's final lag estimate, G_tb. G_sur and
+G_tb need exponential, uniform or point-mass laws on both sides, so the
+cases with a truncated normal law do not ask for them and leave those columns
+empty.
 
 Mean-shift runs emit the windowed adaptive reward next to a reference series
 G_ref, the exact-objective grid optimum recomputed for the instantaneous
@@ -13,12 +14,12 @@ G_ref, the exact-objective grid optimum recomputed for the instantaneous
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fmt import fmt_float, write_csv
+from ._fmt import write_table
 from .analytics import surrogate_reward
 from .bayes import BayesConfig, run_adaptive
 from .distributions import (
@@ -215,23 +216,14 @@ def run_suite(
     return ordered_map(row, jobs)
 
 
+_SUITE_HEADER = ("case", "seed", "kappa", "G_sur", "G_sim", "G_be", "G_tb")
+
+
 def suite_to_csv(rows: Sequence[SuiteRow], path) -> None:
-    write_csv(
-        path,
-        ["case", "seed", "kappa", "G_sur", "G_sim", "G_be", "G_tb"],
-        (
-            [
-                row.case,
-                str(row.seed),
-                fmt_float(row.kappa) if row.kappa is not None else "",
-                fmt_float(row.g_sur) if row.g_sur is not None else "",
-                fmt_float(row.g_sim) if row.g_sim is not None else "",
-                fmt_float(row.g_be) if row.g_be is not None else "",
-                fmt_float(row.g_tb) if row.g_tb is not None else "",
-            ]
-            for row in rows
-        ),
-    )
+    write_table(path, {
+        name: [getattr(row, field.name) for row in rows]
+        for name, field in zip(_SUITE_HEADER, fields(SuiteRow))
+    })
 
 
 @dataclass(frozen=True)
@@ -244,14 +236,7 @@ class MeanShiftResult:
     window_width: int
 
     def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ["index", "G_be_window", "G_ref"],
-            (
-                [str(int(i)), fmt_float(b), fmt_float(r)]
-                for i, b, r in zip(self.index, self.g_be, self.g_ref)
-            ),
-        )
+        write_table(path, {"index": self.index, "G_be_window": self.g_be, "G_ref": self.g_ref})
 
 
 def _exact_optimum(service, delay, f, t_s: float, t_d: float) -> float:

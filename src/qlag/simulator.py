@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._fmt import fmt_float, write_csv
+from ._fmt import write_table
 from .distributions import DistributionSpec, TruncatedNormal
 from .streams import substream
 
@@ -236,20 +236,9 @@ class Trajectory:
         return len(self.service)
 
     def to_csv(self, path) -> None:
-        header = ["index", "service", "delay", "wait", "sojourn", "iat", "state"]
-        rows = (
-            [
-                str(i + 1),
-                fmt_float(self.service[i]),
-                fmt_float(self.delay[i]),
-                fmt_float(self.wait[i]),
-                fmt_float(self.sojourn[i]),
-                fmt_float(self.iat[i]),
-                STATE_BUSY if self.busy[i] else STATE_IDLE,
-            ]
-            for i in range(len(self))
-        )
-        write_csv(path, header, rows)
+        times = {key: getattr(self, key) for key in ("service", "delay", "wait", "sojourn", "iat")}
+        write_table(path, {"index": range(1, len(self) + 1), **times,
+                           "state": np.where(self.busy, STATE_BUSY, STATE_IDLE)})
 
 
 def wait_step(s_prev, lag, d, out: Optional[np.ndarray] = None) -> np.ndarray:

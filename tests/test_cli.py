@@ -34,6 +34,18 @@ class TestSimulate:
         assert summary["n"] == 500 and summary["seed"] == 4
         assert "reward_estimate" in summary
 
+    def test_sliding_window_reports_the_last_window(self, tmp_path):
+        cfg = write_config(tmp_path, {**EXP_EXP, "n": 500, "reward": {"kind": "exp", "kappa": 1.0},
+                                      "window": {"kind": "sliding", "width": 10}})
+        sliding, last_k = tmp_path / "sliding", tmp_path / "last_k"
+        assert run(["simulate", "--config", cfg, "--out", str(sliding), "--seed", "4"]) == EXIT_OK
+        assert run(["simulate", "--config", cfg, "--out", str(last_k), "--seed", "4",
+                    "--set", 'window={"kind": "last_k", "k": 10}']) == EXIT_OK
+        summary = json.loads((sliding / "summary.json").read_text())
+        assert "reward_estimate" not in summary
+        reference = json.loads((last_k / "summary.json").read_text())["reward_estimate"]
+        assert summary["reward_final_window"] == reference
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, {**EXP_EXP, "n": 400})
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -261,6 +273,14 @@ _SUITE = {"cases": [_CASE]}
     ("bayes", _BAYES, 'eps_idle="3"', "eps_idle"),
     # a grid_n the simulated grid cannot use fails before any row runs
     ("suite", {"cases": [{**_CASE, "methods": ["grid", "bayes"]}]}, "grid_n=5000", "grid_n"),
+    # a malformed schedule segment names the offending entry
+    ("simulate", {**_BAYES, "n": 50},
+     'schedule={"kind": "abrupt", "segments": [[100, "0.5", 0.3]]}', "schedule.segments[0][1]"),
+    ("simulate", {**_BAYES, "n": 50},
+     'schedule={"kind": "abrupt", "segments": [[100, 0.5, true]]}', "schedule.segments[0][2]"),
+    ("mean-shift", _MEAN_SHIFT,
+     'schedule={"kind": "abrupt", "segments": [[1000, 1.0, 0.33], [1000, null, 0.2]]}',
+     "schedule.segments[1][1]"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -289,6 +290,28 @@ def test_truncnorm_upper_quantile_far_in_the_tail():
     for q, eps in ((q12, 1e-12), (q15, 1e-15)):
         tail = (1.0 - (1.0 - eps)) * mass
         assert (q + 3.0) / 0.5 == pytest.approx(-float(ndtri(tail)), rel=1e-9)
+
+
+@pytest.mark.parametrize("mu, sigma, lower, upper", [
+    (0.0, 1.0, 5.0, 6.0),
+    (0.0, 1.0, 8.5, 9.0),  # Phi(8.5) and Phi(9) both round to 1
+    (1.0, 0.2, 1.3, 1.6),
+    (-3.0, 0.5, 0.0, 1.0),
+])
+def test_truncnorm_window_above_mu_matches_scipy(mu, sigma, lower, upper):
+    # a window above mu takes its mass and CDF levels in the upper tail, where
+    # their differences do not cancel
+    spec = TruncatedNormal(mu, sigma, lower, upper)
+    ref = scipy.stats.truncnorm((lower - mu) / sigma, (upper - mu) / sigma, loc=mu, scale=sigma)
+    assert spec.mean == pytest.approx(ref.mean(), rel=1e-12)
+    assert spec.mgf(0.0) == pytest.approx(1.0, rel=1e-13)
+    x = np.linspace(lower, upper, 9)
+    np.testing.assert_allclose(spec.cdf(x), ref.cdf(x), rtol=1e-12, atol=0.0)
+    q = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    np.testing.assert_allclose([spec.ppf(v) for v in q], ref.ppf(q), rtol=1e-12, atol=1e-15)
+    draws = spec.sample(substream(3, "tn-above", repr(spec)), 10**5)
+    assert lower <= draws.min() and draws.max() <= upper
+    assert abs(draws.mean() - ref.mean()) < 4 * draws.std() / math.sqrt(len(draws))
 
 
 NAN, INF = math.nan, math.inf
