@@ -14,7 +14,6 @@ from .analytics import (
     delta_star,
     expected_wait,
     monte_carlo_reward,
-    monte_carlo_wait,
     reward_exact,
     surrogate_reward,
     wait_derivative,

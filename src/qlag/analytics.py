@@ -38,7 +38,6 @@ __all__ = [
     "reward_exact",
     "surrogate_reward",
     "delta_star",
-    "monte_carlo_wait",
     "monte_carlo_reward",
 ]
 
@@ -48,6 +47,7 @@ class KinkWarning(UserWarning):
 
 
 _ORDERS = (16, 24, 32, 48, 64, 96, 128)  # Gauss-Legendre orders per axis, tried in turn
+_TOL = 1e-9       # two successive orders agree within this, relative above 1
 _H_ORDER = 64     # service nodes behind the h(w) table
 # elements in the kernel's largest temporary arrays: 64 KB blocks keep an
 # exact grid from raising the peak resident memory of a simulation run
@@ -63,12 +63,6 @@ class RewardEstimate:
 def _check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:
         raise ParameterError(name, f"{name} must be finite and positive, got {value}")
-
-
-def _check_samples(lag: float, n: int) -> None:
-    _check_lag(lag)
-    if n < 2:
-        raise ParameterError("n", f"Monte-Carlo estimates need at least 2 samples, got {n}")
 
 
 # The closed forms are scalar math per lag, not numpy ufuncs over the grid:
@@ -87,45 +81,18 @@ def _closed_waits(service, delay, lags) -> np.ndarray | None:
     return np.array(waits, dtype=float)
 
 
-def _exact_waits(service, delay, lags, tol: float = 1e-9) -> np.ndarray:
+def _exact_waits(service, delay, lags) -> np.ndarray:
     """E[W] at every lag: the closed form where the laws have one, else one
     kernel call for the whole grid."""
     closed = _closed_waits(service, delay, lags)
-    return _numeric_waits(service, delay, lags, tol) if closed is None else closed
+    return _numeric_waits(service, delay, lags) if closed is None else closed
 
 
-def expected_wait(
-    service: DistributionSpec,
-    delay: DistributionSpec,
-    lag: float,
-    *,
-    tol: float = 1e-9,
-) -> float:
+def expected_wait(service: DistributionSpec, delay: DistributionSpec, lag: float) -> float:
     """E[max(S - D - lag, 0)], the stationary waiting time at the given lag:
-    the closed form where the laws have one, else quadrature to within tol."""
+    the closed form where the laws have one, else quadrature to within 1e-9."""
     _check_lag(lag)
-    _check_positive("tol", tol)
-    return float(_exact_waits(service, delay, [lag], tol)[0])
-
-
-def monte_carlo_wait(
-    service: DistributionSpec,
-    delay: DistributionSpec,
-    lag: float,
-    n: int,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo (E[W] estimate, standard error)."""
-    _check_samples(lag, n)
-    total = 0.0
-    total_sq = 0.0
-    for s, d in monte_carlo_draws(seed, {"mc-wait-service": service, "mc-wait-delay": delay}, n):
-        w = np.maximum(s - d - lag, 0.0)
-        total += float(w.sum())
-        total_sq += float(np.square(w).sum())
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    return float(_exact_waits(service, delay, [lag])[0])
 
 
 def wait_derivative(service: DistributionSpec, delay: DistributionSpec, lag: float) -> float:
@@ -142,7 +109,7 @@ def wait_derivative(service: DistributionSpec, delay: DistributionSpec, lag: flo
     return -prob_diff_exceeds(service, delay, lag)
 
 
-def _reward_after_wait(service: DistributionSpec, f, tol: float):
+def _reward_after_wait(service: DistributionSpec, f):
     """h(w) = E_S[f(w + S)] as a fast callable on arrays of waits.
 
     Exact for the exponential family (h factorizes through the MGF) and for
@@ -153,17 +120,17 @@ def _reward_after_wait(service: DistributionSpec, f, tol: float):
     Beyond that, h is the same quadrature, evaluated in blocks of rows.
     """
     try:
-        return _reward_after_wait_cached(service, f, tol)
+        return _reward_after_wait_cached(service, f)
     except TypeError:  # duck-typed unhashable reward objects skip the cache
-        return _build_reward_after_wait(service, f, tol)
+        return _build_reward_after_wait(service, f)
 
 
 @lru_cache(maxsize=64)
-def _reward_after_wait_cached(service: DistributionSpec, f, tol: float):
-    return _build_reward_after_wait(service, f, tol)
+def _reward_after_wait_cached(service: DistributionSpec, f):
+    return _build_reward_after_wait(service, f)
 
 
-def _build_reward_after_wait(service: DistributionSpec, f, tol: float):
+def _build_reward_after_wait(service: DistributionSpec, f):
     if isinstance(f, ExponentialReward):
         ms = service.mgf(-f.kappa)
         return lambda w: ms * f.eval(w)
@@ -196,7 +163,7 @@ def _build_reward_after_wait(service: DistributionSpec, f, tol: float):
     return h
 
 
-def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
+def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
     """Rows P(W > 0), E[W] and, given h, E[h(W) 1{W > 0}] at every lag, for
     W = max(S_prev - lag - D, 0).
 
@@ -204,7 +171,7 @@ def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
     D's support where lag + D crosses the ends of S_prev's support (the
     inner integrals have kinks there); the inner rule runs over S_prev
     above lag + D, so every integrand is smooth on its piece. The order
-    steps through _ORDERS until two successive orders agree within tol
+    steps through _ORDERS until two successive orders agree within _TOL
     (relative above 1); past the last order the result is returned with an
     IntegrationWarning. Lags go through in blocks that keep every
     temporary array near _BLOCK elements.
@@ -230,12 +197,12 @@ def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
             if h is not None:
                 terms[2, i:i + step] = (wd * (ws * h(excess)).sum(-1)).sum(-1)
         if previous is not None and np.all(
-            np.abs(terms - previous) <= tol * np.maximum(1.0, np.abs(terms))
+            np.abs(terms - previous) <= _TOL * np.maximum(1.0, np.abs(terms))
         ):
             return terms
         previous = terms
     warnings.warn(
-        f"the Gauss-Legendre rule has not settled within {tol:g} by order "
+        f"the Gauss-Legendre rule has not settled within {_TOL:g} by order "
         f"{_ORDERS[-1]}; returning that order's value",
         scipy.integrate.IntegrationWarning,
         stacklevel=3,
@@ -243,16 +210,16 @@ def _wait_terms(service, delay, lags, tol, h=None) -> np.ndarray:
     return terms
 
 
-def _numeric_waits(service, delay, lags, tol) -> np.ndarray:
+def _numeric_waits(service, delay, lags) -> np.ndarray:
     """E[W] at every lag, from one kernel call."""
-    return _wait_terms(service, delay, lags, tol)[1]
+    return _wait_terms(service, delay, lags)[1]
 
 
-def _numeric_rewards(service, delay, f, lags, tol) -> np.ndarray:
+def _numeric_rewards(service, delay, f, lags) -> np.ndarray:
     """G at every lag, from one kernel call."""
     lags = np.asarray(lags, dtype=float)
-    h = _reward_after_wait(service, f, tol)
-    p_busy, ew, tail = _wait_terms(service, delay, lags, tol, h)
+    h = _reward_after_wait(service, f)
+    p_busy, ew, tail = _wait_terms(service, delay, lags, h)
     numer = (1.0 - p_busy) * h(np.zeros(1)) + tail
     return numer / (lags + delay.mean + ew)
 
@@ -284,30 +251,22 @@ def _closed_rewards(service, delay, f, lags) -> np.ndarray | None:
     return np.array(rewards, dtype=float)
 
 
-def _exact_rewards(service, delay, f, lags, tol: float = 1e-9) -> np.ndarray:
+def _exact_rewards(service, delay, f, lags) -> np.ndarray:
     """G at every lag: the closed form where the laws have one, else one
     kernel call for the whole grid."""
     closed = _closed_rewards(service, delay, f, lags)
-    return _numeric_rewards(service, delay, f, lags, tol) if closed is None else closed
+    return _numeric_rewards(service, delay, f, lags) if closed is None else closed
 
 
-def reward_exact(
-    service: DistributionSpec,
-    delay: DistributionSpec,
-    f,
-    lag: float,
-    *,
-    tol: float = 1e-9,
-) -> float:
+def reward_exact(service: DistributionSpec, delay: DistributionSpec, f, lag: float) -> float:
     """G = E[f(W + S)] / (lag + E[D] + E[W]) at the given lag: the closed
-    form where the laws have one, else quadrature to within tol.
+    form where the laws have one, else quadrature to within 1e-9.
 
     W = max(S_prev - lag - D, 0) with S_prev distributed as S and
     independent of the served job's own S.
     """
     _check_lag(lag)
-    _check_positive("tol", tol)
-    return float(_exact_rewards(service, delay, f, [lag], tol)[0])
+    return float(_exact_rewards(service, delay, f, [lag])[0])
 
 
 def monte_carlo_reward(
@@ -319,7 +278,9 @@ def monte_carlo_reward(
     seed: int = 0,
 ) -> RewardEstimate:
     """Monte-Carlo estimate of the exact reward with a batch-means error bar."""
-    _check_samples(lag, n)
+    _check_lag(lag)
+    if n < 2:
+        raise ParameterError("n", f"Monte-Carlo estimates need at least 2 samples, got {n}")
     batches = min(100, max(2, n // 100))
     f_sums = np.empty(batches)
     w_sums = np.empty(batches)
@@ -340,12 +301,7 @@ def monte_carlo_reward(
 
 
 def surrogate_reward(
-    service: DistributionSpec,
-    delay: DistributionSpec,
-    kappa: float,
-    lag: float,
-    *,
-    tol: float = 1e-9,
+    service: DistributionSpec, delay: DistributionSpec, kappa: float, lag: float
 ) -> float:
     """Jensen upper bound on the exponential-reward G:
 
@@ -356,17 +312,16 @@ def surrogate_reward(
     """
     _check_positive("kappa", kappa)
     _check_lag(lag)
-    _check_positive("tol", tol)
-    return float(_surrogate_rewards(service, delay, kappa, [lag], tol)[0])
+    return float(_surrogate_rewards(service, delay, kappa, [lag])[0])
 
 
-def _surrogate_rewards(service, delay, kappa: float, lags, tol: float = 1e-9) -> np.ndarray:
+def _surrogate_rewards(service, delay, kappa: float, lags) -> np.ndarray:
     """surrogate_reward at every lag (kappa already checked), with one E[W]
     column for the grid."""
     lags = np.asarray(lags, dtype=float)
     ms = service.mgf(-kappa)
     md = delay.mgf(kappa)
-    ew = _exact_waits(service, delay, lags, tol)
+    ew = _exact_waits(service, delay, lags)
     numer = ms * np.minimum(ms * np.exp(kappa * lags) * md, 1.0)
     return numer / (lags + delay.mean + ew)
 

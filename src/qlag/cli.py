@@ -30,6 +30,7 @@ from .config import (
     ConfigError,
     _integer,
     _is_a,
+    _no_strays,
     _number,
     parse_distribution,
     parse_experiment,
@@ -37,7 +38,7 @@ from .config import (
     parse_schedule,
     parse_window,
 )
-from .gridsearch import optimize
+from .gridsearch import MAX_GRID_POINTS, optimize
 from .reward import ExponentialReward, PolynomialReward
 from .scenarios import ExperimentSpec, mean_shift_run, run_suite, suite_to_csv
 from .simulator import (
@@ -163,13 +164,6 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
                 raise _CliError(f"--set path {key!r} crosses a non-object", field=key)
         node[parts[-1]] = value
     return cfg
-
-
-def _check_keys(cfg: dict, command: str) -> None:
-    allowed = set(COMMAND_CONFIG_KEYS[command])
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(key, f"unexpected field for {command!r}")
 
 
 def _seed_of(args) -> int:
@@ -414,6 +408,8 @@ def _grid_values(cfg: dict, key: str) -> list[float]:
         count = _integer(raw, "count", key)
         if count < 2:
             raise ConfigError(f"{key}.count", "need at least 2 grid values")
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"{key}.count", f"at most {MAX_GRID_POINTS} grid values, got {count}")
         lo, hi = numbers([raw["min"], raw["max"]])
         values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     else:
@@ -547,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         cfg = _apply_overrides(cfg, args.set)
-        _check_keys(cfg, args.command)
+        _no_strays(cfg, "", COMMAND_CONFIG_KEYS[args.command], repr(args.command))
         out = _OutputDir(out_dir, args.force)
         return _HANDLERS[args.command](cfg, out, _seed_of(args))
     except ConfigError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class AssumptionReport:
 
     ok: bool
     worst_violation: float
-    worst_pair: Optional[tuple[float, float]]
+    worst_pair: tuple[float, float]
 
 
 def _expect_sum_two(spec: DistributionSpec, g) -> float:
@@ -96,36 +96,21 @@ def _verdict(lhs: float, rhs: float, strict: bool = False) -> str:
     return VERDICT_HOLDS if lhs <= rhs else VERDICT_FAILS
 
 
-def verify_assumption(
-    service: DistributionSpec,
-    delay: DistributionSpec,
-    probe_grid: Optional[Sequence[float]] = None,
-) -> AssumptionReport:
+_PROBE_GRID = np.geomspace(1.0, 20.0, 65)[1:]  # 64 log-spaced lags in (1, 20]
+
+
+def verify_assumption(service: DistributionSpec, delay: DistributionSpec) -> AssumptionReport:
     """Probe the auxiliary tail assumption used past unit lag.
 
-    True iff lag^2 * P(S - D > lag) is non-increasing across the grid within
-    a 1e-6 tolerance; the report carries the worst adjacent-pair violation.
-    Default grid: 64 log-spaced points in (1, 20].
+    True iff lag^2 * P(S - D > lag) is non-increasing across 64 log-spaced
+    lags in (1, 20] within a 1e-6 tolerance; the report carries the worst
+    adjacent-pair violation.
     """
-    if probe_grid is None:
-        grid = np.geomspace(1.0, 20.0, 65)[1:]
-    else:
-        grid = np.asarray(sorted(probe_grid), dtype=float)
-        if len(grid) < 20:
-            raise ValueError(f"probe grid needs at least 20 points, got {len(grid)}")
-        if grid[0] <= 1.0:
-            raise ValueError("probe grid must lie strictly above 1")
-    vals = np.array(
-        [x * x * prob_diff_exceeds(service, delay, float(x)) for x in grid]
-    )
-    diffs = np.diff(vals)
-    worst = float(diffs.max()) if len(diffs) else 0.0
-    ok = worst <= 1e-6
-    worst_pair = None
-    if len(diffs):
-        i = int(np.argmax(diffs))
-        worst_pair = (float(grid[i]), float(grid[i + 1]))
-    return AssumptionReport(ok=ok, worst_violation=max(worst, 0.0), worst_pair=worst_pair)
+    diffs = np.diff([x * x * prob_diff_exceeds(service, delay, float(x)) for x in _PROBE_GRID])
+    i = int(np.argmax(diffs))
+    worst = float(diffs[i])
+    return AssumptionReport(ok=worst <= 1e-6, worst_violation=max(worst, 0.0),
+                            worst_pair=(float(_PROBE_GRID[i]), float(_PROBE_GRID[i + 1])))
 
 
 def _assumption_flag(service, delay, check_assumption: bool) -> tuple[bool, str]:

@@ -7,6 +7,7 @@ and the machine-readable error record.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Optional
 
 from .distributions import Deterministic, DistributionSpec, Exponential, TruncatedNormal, Uniform
@@ -41,12 +42,24 @@ def _typed(value: Any, field: str, kinds) -> Any:
     return value
 
 
+def _field(path: str, key: str) -> str:
+    """The dotted name of key under path; path "" names a top-level key."""
+    return f"{path}.{key}" if path else key
+
+
 def _require(obj: dict, key: str, path: str, kinds) -> Any:
-    """obj[key] if it is one of kinds and not a bool; path "" names a top-level key."""
-    field = f"{path}.{key}" if path else key
+    """obj[key] if it is one of kinds and not a bool."""
+    field = _field(path, key)
     if key not in obj:
         raise ConfigError(field, "missing required field")
     return _typed(obj[key], field, kinds)
+
+
+def _no_strays(obj: dict, path: str, allowed, owner: str) -> None:
+    """Reject the first key of obj that is not in allowed, naming it."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(_field(path, key), f"unexpected field for {owner}")
 
 
 def _number(obj: dict, key: str, path: str) -> float:
@@ -55,6 +68,15 @@ def _number(obj: dict, key: str, path: str) -> float:
 
 def _integer(obj: dict, key: str, path: str) -> int:
     return int(_require(obj, key, path, int))
+
+
+def _entries(obj: dict, key: str, path: str, kinds, noun: str) -> list:
+    """obj[key] as a list whose entries are each one of kinds."""
+    items = _require(obj, key, path, list)
+    for i, item in enumerate(items):
+        if not _is_a(item, kinds):
+            raise ConfigError(f"{path}.{key}[{i}]", f"{key} must be {noun}")
+    return items
 
 
 def _segments(obj: dict, key: str, path: str) -> tuple:
@@ -106,8 +128,8 @@ _WINDOWS = {
 
 def _literal(obj: Any, path: str, kinds: dict) -> Any:
     """The {"kind": ..., ...} literal at path, built by its family's table; a
-    field that is missing or mistyped is named, and a value the constructor
-    rejects names the literal."""
+    field that is missing, mistyped or not read by the kind is named, and a
+    value the constructor rejects names the literal."""
     obj = _check_mapping(obj, path)
     kind = _require(obj, "kind", path, str)
     if kind not in kinds:
@@ -116,6 +138,7 @@ def _literal(obj: Any, path: str, kinds: dict) -> Any:
             f"{path}.kind", f"unknown kind {kind!r}; expected {', '.join(head)} or {last}"
         )
     build, readers = kinds[kind]
+    _no_strays(obj, path, {"kind", *(key for key, _ in readers)}, f"kind {kind!r}")
     args = [read(obj, key, path) for key, read in readers]
     try:
         return build(*args)
@@ -141,15 +164,13 @@ def parse_window(obj: Any, path: str = "window") -> Window:
 
 def parse_experiment(obj: Any, path: str = "case") -> ExperimentSpec:
     obj = _check_mapping(obj, path)
+    _no_strays(obj, path, {f.name for f in fields(ExperimentSpec)}, "an experiment")
     case_id = _require(obj, "id", path, str)
-    methods = _require(obj, "methods", path, list)
-    seeds = _require(obj, "seeds", path, list)
-    for i, seed in enumerate(seeds):
-        if not _is_a(seed, int):
-            raise ConfigError(f"{path}.seeds[{i}]", "seeds must be integers")
+    methods = _entries(obj, "methods", path, str, "strings")
+    seeds = _entries(obj, "seeds", path, int, "integers")
     reporting = parse_window(obj.get("reporting", {"kind": "last_k", "k": 5000}),
                              f"{path}.reporting")
-    fields = dict(
+    args = dict(
         id=case_id,
         service=parse_distribution(_require(obj, "service", path, dict), f"{path}.service"),
         delay=parse_distribution(_require(obj, "delay", path, dict), f"{path}.delay"),
@@ -161,6 +182,6 @@ def parse_experiment(obj: Any, path: str = "case") -> ExperimentSpec:
         reporting=reporting,
     )
     try:
-        return ExperimentSpec(**fields)
+        return ExperimentSpec(**args)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc

@@ -31,11 +31,9 @@ __all__ = [
     "law_for_family",
     "monte_carlo_draws",
     "prob_diff_exceeds",
-    "QUAD_TOL",
 ]
 
-QUAD_TOL = 1e-9
-_QUAD_EPS = 1e-12          # internal quadrature target, tighter than the guarantee
+_QUAD_EPS = 1e-12          # expect's quadrature target
 TAIL_EPS = 1e-12           # integrals truncated at the 1 - TAIL_EPS quantile
 RULE_TAIL_EPS = 1e-15      # gauss_rule cuts at the 1 - RULE_TAIL_EPS quantile: the mass it
                            # drops moves a first moment by far less than 1e-12
@@ -95,19 +93,17 @@ class DistributionSpec(ABC):
     def upper_quantile(self, eps: float = TAIL_EPS) -> float:
         return self.ppf(1.0 - eps)
 
-    def expect(self, g, tol: float = _QUAD_EPS, breaks=()) -> float:
+    def expect(self, g) -> float:
         """E[g(X)] by adaptive quadrature over the support, cut at the
-        1 - TAIL_EPS quantile and split at the finite break points inside it."""
+        1 - TAIL_EPS quantile."""
         lo, hi = self.support()
         hi = min(hi, self.upper_quantile())
-        points = sorted({b for b in breaks if lo < b < hi and math.isfinite(b)})
         val, _ = scipy.integrate.quad(
             lambda x: float(g(x)) * float(self.pdf(x)),
             lo,
             hi,
-            points=points or None,
-            epsabs=tol,
-            epsrel=tol,
+            epsabs=_QUAD_EPS,
+            epsrel=_QUAD_EPS,
             limit=300,
         )
         return val
@@ -378,7 +374,7 @@ class Deterministic(DistributionSpec):
     def mean(self) -> float:
         return self.value
 
-    def expect(self, g, tol: float = _QUAD_EPS, breaks=()) -> float:
+    def expect(self, g) -> float:
         return float(g(self.value))
 
     def gauss_rule(self, order: int, above=-math.inf, breaks=()):
@@ -461,8 +457,6 @@ def prob_diff_exceeds(
     service: DistributionSpec,
     delay: DistributionSpec,
     x: float,
-    *,
-    tol: float = QUAD_TOL,
 ) -> float:
     """P(S - D > x) for independent S ~ service, D ~ delay and finite x >= 0.
 
@@ -495,8 +489,8 @@ def prob_diff_exceeds(
                 lo,
                 hi,
                 points=breaks or None,
-                epsabs=min(tol, 1e-10),
-                epsrel=min(tol, 1e-10),
+                epsabs=1e-10,
+                epsrel=1e-10,
                 limit=200,
             )
         if err <= 1e-6:

@@ -25,6 +25,7 @@ __all__ = ["GridPoint", "GridResult", "optimize", "build_lag_grid", "OBJECTIVES"
 
 OBJECTIVES = ("simulated", "exact", "surrogate")
 MIN_SIMULATED_N = 10_000  # jobs per point the simulated objective needs
+MAX_GRID_POINTS = 1_000_000  # lags in a grid, and means per axis of a region scan
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,12 @@ def build_lag_grid(lag_min: float, lag_max: float, step: float) -> np.ndarray:
         )
     if not 0 < step < math.inf:
         raise ParameterError("step", f"step must be finite and positive, got {step}")
-    count = int(math.floor((lag_max - lag_min) / step + 1e-9)) + 1
+    points = (lag_max - lag_min) / step + 1e-9
+    if not points < MAX_GRID_POINTS:  # also catches an infinite count
+        raise ParameterError(
+            "step", f"step {step} gives more than {MAX_GRID_POINTS} lags on [{lag_min}, {lag_max}]"
+        )
+    count = int(math.floor(points)) + 1
     return lag_min + step * np.arange(count)
 
 

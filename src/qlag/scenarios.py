@@ -55,7 +55,7 @@ __all__ = [
     "has_closed_form_mgf",
 ]
 
-METHODS = frozenset({"grid", "bayes", "exact", "surrogate", "conditions"})
+METHODS = frozenset({"grid", "bayes", "surrogate"})
 
 
 def has_closed_form_mgf(spec: DistributionSpec) -> bool:
@@ -119,37 +119,35 @@ _CASE_LAYOUT = (
 )
 
 
-def default_cases(
-    kappa: float = 1.0,
-    n: int = 50_000,
-    seeds: Sequence[int] = (1,),
-    pairs: Sequence[tuple[float, float]] = ((1.0, 0.33), (0.5, 0.1667)),
-) -> list[ExperimentSpec]:
-    """The six-case benchmark matrix over the given (t_s, t_d) pairs."""
+_CASE_PAIRS = ((1.0, 0.33), (0.5, 0.1667))  # (t_s, t_d) of rows 1 and 2
+
+
+def default_cases(n: int = 50_000) -> list[ExperimentSpec]:
+    """The six-case benchmark matrix over two (t_s, t_d) pairs, with an
+    exp(1) reward, seed 1 and n jobs per learner run."""
     specs = []
     for label, service_family, delay_family in _CASE_LAYOUT:
-        closed = service_family != "truncnorm" and delay_family != "truncnorm"
         methods = {"grid", "bayes"}
-        if closed:
-            methods |= {"exact", "surrogate", "conditions"}
-        for row, (t_s, t_d) in enumerate(pairs, start=1):
+        if service_family != "truncnorm" and delay_family != "truncnorm":
+            methods.add("surrogate")
+        for row, (t_s, t_d) in enumerate(_CASE_PAIRS, start=1):
             specs.append(
                 ExperimentSpec(
                     id=f"{label}{row}",
                     service=law_for_family(service_family, t_s),
                     delay=law_for_family(delay_family, t_d),
-                    reward=ExponentialReward(kappa),
+                    reward=ExponentialReward(1.0),
                     methods=frozenset(methods),
                     schedule=None,
                     n=n,
-                    seeds=tuple(seeds),
+                    seeds=(1,),
                     reporting=Window.last_k(5000),
                 )
             )
     return specs
 
 
-def _suite_row(spec: ExperimentSpec, seed: int, grid_n: int, cfg: BayesConfig) -> SuiteRow:
+def _suite_row(spec: ExperimentSpec, seed: int, grid_n: int) -> SuiteRow:
     kappa = spec.reward.kappa if isinstance(spec.reward, ExponentialReward) else None
     g_sur = None
     if "surrogate" in spec.methods:
@@ -176,7 +174,7 @@ def _suite_row(spec: ExperimentSpec, seed: int, grid_n: int, cfg: BayesConfig) -
             spec.schedule,
             spec.reward,
             n=spec.n,
-            cfg=cfg,
+            cfg=BayesConfig(),
             seed=seed,
             reporting=spec.reporting,
         )
@@ -188,12 +186,7 @@ def _suite_row(spec: ExperimentSpec, seed: int, grid_n: int, cfg: BayesConfig) -
     return SuiteRow(spec.id, seed, kappa, g_sur, g_sim, g_be, g_tb)
 
 
-def run_suite(
-    specs: Sequence[ExperimentSpec],
-    *,
-    grid_n: int = 100_000,
-    cfg: BayesConfig = BayesConfig(),
-) -> list[SuiteRow]:
+def run_suite(specs: Sequence[ExperimentSpec], *, grid_n: int = 100_000) -> list[SuiteRow]:
     """One row per (spec, seed), reproducible from the spec list alone.
 
     A grid_n too small for the simulated grid raises ParameterError("grid_n")
@@ -208,7 +201,7 @@ def run_suite(
     def row(job):
         spec, seed = job
         try:
-            return _suite_row(spec, seed, grid_n, cfg)
+            return _suite_row(spec, seed, grid_n)
         except ValueError as exc:
             raise ParameterError("specs", f"case {spec.id}, seed {seed}: {exc}") from exc
 
@@ -233,7 +226,6 @@ class MeanShiftResult:
     index: np.ndarray   # window end job index (1-based)
     g_be: np.ndarray
     g_ref: np.ndarray
-    window_width: int
 
     def to_csv(self, path) -> None:
         write_table(path, {"index": self.index, "G_be_window": self.g_be, "G_ref": self.g_ref})
@@ -250,14 +242,13 @@ def mean_shift_run(
     base: ExperimentSpec,
     *,
     width: int = 2000,
-    anchor_count: int = 11,
     cfg: BayesConfig = BayesConfig(),
 ) -> MeanShiftResult:
     """Run the adaptive policy under a drifting schedule.
 
     The reference series re-solves the exact-objective grid search at the
-    instantaneous means; for gradual drifts it is anchored at `anchor_count`
-    job indices and interpolated in between.
+    instantaneous means; for gradual drifts it is anchored at 11 evenly
+    spaced job indices and interpolated in between.
     """
     if kind not in ("gradual", "abrupt"):
         raise ValueError(f"kind must be gradual or abrupt, got {kind!r}")
@@ -295,7 +286,7 @@ def mean_shift_run(
         g_ref = seg_opt[np.minimum(seg_idx, len(seg_opt) - 1)]
     else:
         ts_means, td_means = schedule_means(schedule, n)
-        anchor_jobs = np.unique(np.linspace(0, n - 1, anchor_count).astype(int))
+        anchor_jobs = np.unique(np.linspace(0, n - 1, 11).astype(int))
         anchor_opt = np.array(
             [
                 _exact_optimum(
@@ -307,6 +298,4 @@ def mean_shift_run(
         )
         g_ref = np.interp(centers - 1.0, anchor_jobs.astype(float), anchor_opt)
 
-    return MeanShiftResult(
-        index=ends, g_be=np.asarray(result.reward), g_ref=g_ref, window_width=width
-    )
+    return MeanShiftResult(index=ends, g_be=np.asarray(result.reward), g_ref=g_ref)

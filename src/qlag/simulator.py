@@ -48,6 +48,7 @@ STATE_IDLE = "idle"
 STATE_BUSY = "busy"
 
 DEFAULT_BURN_IN = 1000
+_BATCHES = 32  # contiguous batches behind a batch-means standard error
 
 
 class InvalidScheduleError(ValueError):
@@ -388,13 +389,8 @@ def estimate_reward(traj: Trajectory, f, window: Window = Window.all()):
     return _ratio(f.eval(traj.sojourn[sel]), traj.iat[sel])
 
 
-def estimate_reward_se(
-    traj: Trajectory,
-    f,
-    window: Window = Window.all(),
-    batches: int = 32,
-) -> tuple[float, float]:
-    """Reward estimate plus a batch-means standard error.
+def estimate_reward_se(traj: Trajectory, f, window: Window = Window.all()) -> tuple[float, float]:
+    """Reward estimate plus a batch-means standard error over 32 batches.
 
     Contiguous batches absorb the short-range dependence between
     consecutive jobs, so the spread of per-batch ratios is an honest
@@ -404,18 +400,21 @@ def estimate_reward_se(
         raise ValueError("standard errors are defined for all/last_k windows only")
     sel = _select(traj, window)
     f_vals = np.asarray(f.eval(traj.sojourn[sel]), dtype=float)
-    return _ratio_se(f_vals, traj.iat[sel], batches)
+    return _ratio_se(f_vals, traj.iat[sel])
 
 
 def _ratio(f_vals: np.ndarray, iats: np.ndarray) -> float:
-    """The renewal-reward ratio sum f / sum IAT."""
-    return float(np.sum(f_vals)) / float(np.sum(iats))
+    """The renewal-reward ratio sum f / sum IAT, NaN where the jobs span no time."""
+    span = float(np.sum(iats))
+    return float(np.sum(f_vals)) / span if span > 0 else math.nan
 
 
-def _ratio_se(f_vals: np.ndarray, iats: np.ndarray, batches: int = 32) -> tuple[float, float]:
-    """sum f / sum IAT, plus the spread of the ratio over contiguous batches."""
-    b = min(batches, len(f_vals))
-    ratios = _batch_sums(f_vals, b) / _batch_sums(iats, b)
+def _ratio_se(f_vals: np.ndarray, iats: np.ndarray) -> tuple[float, float]:
+    """sum f / sum IAT, plus the spread of the ratio over 32 contiguous batches
+    (NaN for a batch that spans no time)."""
+    b = min(_BATCHES, len(f_vals))
+    spans = _batch_sums(iats, b)
+    ratios = np.divide(_batch_sums(f_vals, b), spans, out=np.full(b, np.nan), where=spans > 0)
     se = float(np.std(ratios, ddof=1) / np.sqrt(b)) if b > 1 else float("inf")
     return _ratio(f_vals, iats), se
 

@@ -52,3 +52,15 @@ def test_traced_adaptive_op_passes_its_check():
     same = Trajectory(t.service, t.delay, t.wait, t.iat, t.lag, t.seed,
                       t.lag_policy_description)
     assert (same.wait == t.wait).all() and (same.busy == t.busy).all()
+
+
+def test_reward_cache_hooks_reach_the_analytics_cache():
+    from qlag import PolynomialReward, Uniform, optimize
+
+    cache = tracing.reward_cache()
+    assert cache is not None
+    optimize(Uniform(0.0, 2.0), Uniform(0.0, 0.66), PolynomialReward(2.0), objective="exact",
+             lag_max=1.0, step=0.25)
+    assert cache.cache_info().currsize > 0
+    tracing.clear_reward_cache()
+    assert cache.cache_info().currsize == 0

@@ -46,6 +46,18 @@ class TestSimulate:
         reference = json.loads((last_k / "summary.json").read_text())["reward_estimate"]
         assert summary["reward_final_window"] == reference
 
+    @pytest.mark.parametrize("command", ["simulate", "bayes"])
+    def test_jobs_that_span_no_time_report_nan(self, tmp_path, command):
+        zero = {"kind": "deterministic", "value": 0.0}
+        cfg = write_config(tmp_path, {"service": zero, "delay": zero, "n": 100,
+                                      "reward": {"kind": "exp", "kappa": 1.0}})
+        window = "window" if command == "simulate" else "reporting"
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out),
+                    "--set", f'{window}={{"kind": "last_k", "k": 50}}']) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["reward_estimate" if command == "simulate" else "reward"] == "nan"
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, {**EXP_EXP, "n": 400})
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -281,6 +293,23 @@ _SUITE = {"cases": [_CASE]}
     ("mean-shift", _MEAN_SHIFT,
      'schedule={"kind": "abrupt", "segments": [[1000, 1.0, 0.33], [1000, null, 0.2]]}',
      "schedule.segments[1][1]"),
+    # a literal or an experiment takes no key its kind does not read
+    ("bayes", _BAYES, 'reward={"kind": "exp", "kappa": 1, "gamma": 3}', "reward.gamma"),
+    ("simulate", {**_BAYES, "n": 50}, 'service={"kind": "exponential", "mean": 1, "rate": 2}',
+     "service.rate"),
+    ("simulate", {**_BAYES, "n": 50}, 'window={"kind": "last_k", "k": 10, "width": 10}',
+     "window.width"),
+    ("suite", _SUITE, "cases=" + json.dumps([{**_CASE, "typo_key": 3}]), "cases[0].typo_key"),
+    ("suite", _SUITE,
+     "cases=" + json.dumps([{**_CASE, "reporting": {"kind": "sliding", "k": 1000, "width": 1000}}]),
+     "cases[0].reporting.k"),
+    # suite methods are strings
+    ("suite", _SUITE, "cases=" + json.dumps([{**_CASE, "methods": ["grid", ["bayes"]]}]),
+     "cases[0].methods[1]"),
+    # grids too large to build fail before they are allocated
+    ("grid-search", _GRID, "step=1e-12", "step"),
+    ("grid-search", {**_GRID, "lag_max": 1e300}, "step=1e-300", "step"),
+    ("region-scan", _REGION, 'ts={"min": 1, "max": 2, "count": 100000000}', "ts.count"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)

@@ -146,33 +146,22 @@ class TestSurrogateConditions:
 
 class TestVerifyAssumption:
     def test_exp_exp_fails_below_two(self):
-        # lag^2 * exp(-lag) increases on (1, 2): the monotonicity probe must
-        # report the violation on a grid that starts at 1
-        report = verify_assumption(EXP_S, EXP_D, np.arange(1.0, 10.01, 0.25) + 1e-9)
+        # lag^2 * exp(-lag) increases on (1, 2): the monotonicity probe, whose
+        # grid starts just above 1, must report the violation there
+        report = verify_assumption(EXP_S, EXP_D)
         assert not report.ok
         assert report.worst_pair[0] < 2.0
 
-    def test_exp_exp_holds_beyond_two(self):
-        report = verify_assumption(EXP_S, EXP_D, np.linspace(2.0, 10.0, 33))
-        assert report.ok
-
     def test_deterministic_tail_is_flat_zero(self):
-        report = verify_assumption(
-            Deterministic(1.0), Deterministic(0.5), np.linspace(1.1, 10.0, 30)
-        )
+        report = verify_assumption(Deterministic(1.0), Deterministic(0.5))
         assert report.ok and report.worst_violation == 0.0
 
-    def test_uniform_pair_holds(self):
-        report = verify_assumption(
-            Uniform(0.0, 2.0), Uniform(0.0, 0.66), np.linspace(1.01, 10.0, 40)
-        )
-        assert report.ok
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            verify_assumption(EXP_S, EXP_D, [1.5, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            verify_assumption(EXP_S, EXP_D, np.linspace(0.5, 10.0, 30))
+    def test_uniform_pair_fails_just_above_one(self):
+        # for S ~ U(0, 2), D ~ U(0, 0.66), d/dx [x^2 P(S - D > x)] at x = 1 is
+        # 2 * 0.335 - 0.5 > 0: the lag^2 tail still rises just above 1
+        report = verify_assumption(Uniform(0.0, 2.0), Uniform(0.0, 0.66))
+        assert not report.ok
+        assert report.worst_pair[0] < 1.2
 
     def test_reports_feed_condition_checks(self):
         # default grid starts just above 1, where the exp/exp tail bump lives

@@ -14,7 +14,8 @@ from qlag import (
     optimize,
 )
 from qlag.analytics import _closed_rewards
-from qlag.gridsearch import build_lag_grid
+from qlag.gridsearch import MAX_GRID_POINTS, build_lag_grid
+from qlag.simulator import ParameterError
 
 F1 = ExponentialReward(1.0)
 EXP_S = Exponential(1.0)
@@ -35,6 +36,12 @@ def test_grid_validation():
         build_lag_grid(1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         build_lag_grid(0.0, 1.0, 0.0)
+    # too many lags (1e12, and a count that overflows) fail before any array is built
+    for lag_max, step in ((1.0, 1e-12), (1e300, 1e-300)):
+        with pytest.raises(ParameterError) as err:
+            build_lag_grid(0.0, lag_max, step)
+        assert err.value.name == "step"
+    assert len(build_lag_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
 
 
 def test_surrogate_objective_zero_lag_when_product_saturates():

@@ -83,6 +83,10 @@ class TestExperimentSpec:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             _spec(Exponential(1.0), Exponential(0.33), {"gradient"})
+        # a suite row has no column for either of these
+        for method in ("exact", "conditions"):
+            with pytest.raises(ValueError, match="unknown methods"):
+                _spec(Exponential(1.0), Exponential(0.33), {"bayes", method})
 
     def test_closed_form_mgf_predicate(self):
         assert has_closed_form_mgf(Exponential(1.0))
@@ -205,7 +209,7 @@ class TestMeanShift:
         sched = GradualLinear(1.0, 0.5, 0.33, 0.1667, 10_000)
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
                      n=10_000, schedule=sched)
-        res = mean_shift_run("gradual", base, width=1000, anchor_count=5)
+        res = mean_shift_run("gradual", base, width=1000)
         assert np.all(np.isfinite(res.g_ref))
         # service/delay speed up over the ramp, so the optimum reward rises
         assert res.g_ref[-1] > res.g_ref[0]

@@ -170,6 +170,19 @@ def test_width_one_sliding_window_is_nan_over_job_zero():
     assert series[1:] == pytest.approx([math.exp(-1.5) / 0.5, math.exp(-1.5) / 1.0], rel=1e-12)
 
 
+def test_windows_that_span_no_time_are_nan():
+    # two point masses at zero: every inter-arrival time is zero
+    traj = run_fixed_lag(Deterministic(0.0), Deterministic(0.0), 0.0, 100, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = estimate_reward(traj, F1, Window.last_k(50))
+        value, se = estimate_reward_se(traj, F1)
+        ((swept, swept_se),) = sweep_lags(Deterministic(0.0), Deterministic(0.0), [0.0], F1,
+                                          100, burn_in=10)
+    assert math.isnan(estimate) and math.isnan(value) and math.isnan(se)
+    assert math.isnan(swept) and math.isnan(swept_se)
+
+
 @pytest.mark.parametrize(
     "n, b", [(100_017, 32), (100_000, 32), (1003, 32), (31, 31), (64, 7), (5, 2)]
 )
