@@ -28,7 +28,7 @@ from .distributions import (
     prob_diff_exceeds,
 )
 from .reward import ExponentialReward
-from .simulator import ParameterError, _check_lag
+from .simulator import ParameterError, _check_lag, _per_span
 
 __all__ = [
     "KinkWarning",
@@ -232,7 +232,8 @@ def _closed_rewards(service, delay, f, lags) -> np.ndarray | None:
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
         s, d = service.value, delay.value
         waits = [max(s - lag - d, 0.0) for lag in lags]
-        rewards = [float(f.eval(w + s)) / (lag + d + w) for lag, w in zip(lags, waits)]
+        numers = [float(f.eval(w + s)) for w in waits]
+        cycles = [lag + d + w for lag, w in zip(lags, waits)]
     elif (
         isinstance(f, ExponentialReward)
         and isinstance(service, Exponential)
@@ -244,11 +245,11 @@ def _closed_rewards(service, delay, f, lags) -> np.ndarray | None:
         # M_W(-kappa) = 1 - p kappa / (lam_s + kappa)
         ms = service.mgf(-kappa)
         busy = [math.exp(-lam_s * lag) * delay.mgf(-lam_s) for lag in lags]
-        rewards = [ms * (1.0 - p * kappa / (lam_s + kappa)) / (lag + delay.mean + p / lam_s)
-                   for lag, p in zip(lags, busy)]
+        numers = [ms * (1.0 - p * kappa / (lam_s + kappa)) for p in busy]
+        cycles = [lag + delay.mean + p / lam_s for lag, p in zip(lags, busy)]
     else:
         return None
-    return np.array(rewards, dtype=float)
+    return _per_span(np.array(numers, dtype=float), cycles)
 
 
 def _exact_rewards(service, delay, f, lags) -> np.ndarray:
@@ -323,7 +324,7 @@ def _surrogate_rewards(service, delay, kappa: float, lags) -> np.ndarray:
     md = delay.mgf(kappa)
     ew = _exact_waits(service, delay, lags)
     numer = ms * np.minimum(ms * np.exp(kappa * lags) * md, 1.0)
-    return numer / (lags + delay.mean + ew)
+    return _per_span(numer, lags + delay.mean + ew)
 
 
 def delta_star(service: DistributionSpec, delay: DistributionSpec, kappa: float) -> float:

@@ -324,13 +324,23 @@ def sweep_lags(
 ) -> list[tuple[float, float]]:
     """Reward estimate and batch-means standard error at each fixed lag.
 
-    Entry i equals ``estimate_reward_se(run_fixed_lag(service, delay,
-    lags[i], n, schedule, seed), f, Window.last_k(n - burn_in))`` bit for
-    bit: the service and delay streams are drawn once and shared by every
-    lag (common random numbers), and each lag computes only the jobs after
-    the burn-in, plus the one before them, with the arithmetic of
-    ``assemble_trajectory``. Lags are swept one at a time, so memory stays
-    a few n-job arrays whatever the number of lags.
+    Entry i is the estimator of ``estimate_reward_se(run_fixed_lag(service,
+    delay, lags[i], n, schedule, seed), f, Window.last_k(n - burn_in))``, with
+    its sums taken in another order (the two agree within a relative 1e-12):
+    the service and delay streams are drawn once and shared by every lag
+    (common random numbers).
+
+    Job j waits W_j = max(X_j - lag, 0) with X_j = S_{j-1} - D_j, which no lag
+    changes, so at a given lag only the jobs with X_j > lag do lag-dependent
+    work. Set-up lays the window's jobs out in the rows of the 32 batches,
+    sorts each row by X and takes the lag-free batch sums once. At each lag a
+    batch's reward and span are those sums corrected over the busy tail of its
+    row (``wait_step`` gives the waits):
+    F_B = sum f(S) + sum [f(W + S) - f(S)] and
+    A_B = sum D + lag N_B + sum W - W(last job of B) + W(job before B),
+    as the inter-arrival time of job j carries the wait of job j - 1. So the
+    work per lag scales with the number of jobs that wait, and memory stays a
+    few n-job arrays whatever the number of lags.
     """
     for lag in lags:
         _check_lag(lag)
@@ -339,22 +349,45 @@ def sweep_lags(
             "burn_in", f"burn_in must lie in [0, n), got {burn_in} with n = {n}"
         )
     s, d = _draw(service, delay, n, schedule, seed)
-    first = max(burn_in, 1)  # first window job that has a predecessor
-    # previous service time of jobs first-1..n-1; job 0 finds an empty system,
-    # and -inf makes its wait max(-inf, 0) = 0
-    s_prev = s[first - 2:n - 1] if first >= 2 else np.concatenate(([-np.inf], s[:-1]))
-    d_tail = d[first - 1:]
-    wait = np.empty(len(d_tail))  # jobs first-1..n-1, reused by every lag
-    out = []
-    for lag in lags:
-        wait_step(s_prev, lag, d_tail, out=wait)
-        iat = wait[:-1] + lag
-        iat += d[first:]  # (W_{j-1} + lag) + D_j for jobs first..n-1
-        if burn_in == 0:  # job 0 has no inter-arrival time
-            iat = np.concatenate(([0.0], iat))
-        f_vals = np.asarray(f.eval(wait[burn_in - first + 1:] + s[burn_in:]), dtype=float)
-        out.append(_ratio_se(f_vals, iat))
-    return out
+    m = n - burn_in
+    b = min(_BATCHES, m)
+    # X of jobs burn_in-1..n-1; job 0 finds an empty system, and -inf makes
+    # its wait (and that of the job before job 0) max(-inf, 0) = 0
+    x = np.full(m + 1, -np.inf)
+    j0 = max(burn_in - 1, 1)  # first of those jobs with a job before it
+    np.subtract(s[j0 - 1:-1], d[j0:], out=x[j0 - burn_in + 1:])
+    size, longer = divmod(m, b)
+    edges = np.cumsum([0] + [size + 1] * longer + [size] * (b - longer))
+    x_edge = x[edges]  # the job before the window, then the last job of each batch
+    counts = np.diff(edges).astype(float)  # jobs with an inter-arrival time
+    if burn_in == 0:  # job 0 has none
+        counts[0] -= 1
+        d[0] = 0.0
+    d_sums = _batch_sums(d[burn_in:], b)
+    s_rows = _batch_rows(s[burn_in:], b, 0.0)
+    x_rows = _batch_rows(x[1:], b, -np.inf)
+    del s, d, x  # no lag needs the draws again: free them before the sort
+    f_rows = np.asarray(f.eval(s_rows), dtype=float)
+    f_sums = _row_sums(f_rows, m)
+    order = np.argsort(x_rows, axis=1)
+    order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
+    x_rows = np.take(x_rows, order)
+    s_rows = np.take(s_rows, order)
+    f_rows = np.take(f_rows, order)
+    del order
+    # at each lag, every job that waits sits at or past column `start` of its sorted row
+    starts = np.min([np.searchsorted(row, lags, side="right") for row in x_rows], axis=0)
+    f_batch = np.empty((len(starts), b))
+    spans = np.empty((len(starts), b))
+    for i, (lag, start) in enumerate(zip(lags, starts)):
+        wait = wait_step(x_rows[:, start:], lag, 0.0)
+        gain = np.asarray(f.eval(wait + s_rows[:, start:]), dtype=float)
+        gain -= f_rows[:, start:]  # 0 where the job does not wait
+        f_batch[i] = f_sums + gain.sum(axis=1)
+        edge = wait_step(x_edge, lag, 0.0)
+        spans[i] = d_sums + lag * counts + wait.sum(axis=1) - edge[1:] + edge[:-1]
+    ses = _batch_se(f_batch, spans)
+    return [(_ratio(fb, sp), float(se)) for fb, sp, se in zip(f_batch, spans, ses)]
 
 
 def _select(traj: Trajectory, window: Window) -> slice:
@@ -382,9 +415,7 @@ def estimate_reward(traj: Trajectory, f, window: Window = Window.all()):
             raise EmptyWindowError(f"sliding width {w} exceeds trajectory length {n}")
         f_cum = np.concatenate(([0.0], np.cumsum(f.eval(traj.sojourn))))
         a_cum = np.concatenate(([0.0], np.cumsum(traj.iat)))
-        span = a_cum[w:] - a_cum[:-w]
-        return np.divide(f_cum[w:] - f_cum[:-w], span, out=np.full(len(span), np.nan),
-                         where=span > 0)
+        return _per_span(f_cum[w:] - f_cum[:-w], a_cum[w:] - a_cum[:-w])
     sel = _select(traj, window)
     return _ratio(f.eval(traj.sojourn[sel]), traj.iat[sel])
 
@@ -410,13 +441,25 @@ def _ratio(f_vals: np.ndarray, iats: np.ndarray) -> float:
 
 
 def _ratio_se(f_vals: np.ndarray, iats: np.ndarray) -> tuple[float, float]:
-    """sum f / sum IAT, plus the spread of the ratio over 32 contiguous batches
-    (NaN for a batch that spans no time)."""
+    """sum f / sum IAT, plus its batch-means standard error over 32 contiguous batches."""
     b = min(_BATCHES, len(f_vals))
-    spans = _batch_sums(iats, b)
-    ratios = np.divide(_batch_sums(f_vals, b), spans, out=np.full(b, np.nan), where=spans > 0)
-    se = float(np.std(ratios, ddof=1) / np.sqrt(b)) if b > 1 else float("inf")
-    return _ratio(f_vals, iats), se
+    return _ratio(f_vals, iats), float(_batch_se(_batch_sums(f_vals, b), _batch_sums(iats, b)))
+
+
+def _batch_se(f_sums: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The batch-means standard error of sum f / sum IAT from the batch sums of
+    f and of the IATs along the last axis: the spread of the batch ratios (NaN
+    for a batch that spans no time) over sqrt(batches), inf for one batch."""
+    b = spans.shape[-1]
+    if b == 1:
+        return np.full(spans.shape[:-1], np.inf)
+    return np.std(_per_span(f_sums, spans), axis=-1, ddof=1) / math.sqrt(b)
+
+
+def _per_span(totals, spans) -> np.ndarray:
+    """totals / spans elementwise, NaN where a span is not positive (no time passed)."""
+    spans = np.asarray(spans, dtype=float)
+    return np.divide(totals, spans, out=np.full(spans.shape, np.nan), where=spans > 0)
 
 
 def _batch_sums(x: np.ndarray, b: int) -> np.ndarray:
@@ -426,3 +469,20 @@ def _batch_sums(x: np.ndarray, b: int) -> np.ndarray:
     cut = longer * (size + 1)
     return np.concatenate((x[:cut].reshape(longer, size + 1).sum(axis=1),
                            x[cut:].reshape(b - longer, size).sum(axis=1)))
+
+
+def _batch_rows(x: np.ndarray, b: int, pad: float) -> np.ndarray:
+    """The chunks of ``_batch_sums`` as the b rows of a 2-D array, each row
+    ``len(x) // b + 1`` long: the shorter chunks end in one ``pad`` cell."""
+    size, longer = divmod(len(x), b)
+    cut = longer * (size + 1)
+    rows = np.full((b, size + 1), pad)
+    rows[:longer] = x[:cut].reshape(longer, size + 1)
+    rows[longer:, :size] = x[cut:].reshape(b - longer, size)
+    return rows
+
+
+def _row_sums(rows: np.ndarray, m: int) -> np.ndarray:
+    """``_batch_sums`` of the m elements that ``_batch_rows`` laid out in rows."""
+    size, longer = divmod(m, len(rows))
+    return np.concatenate((rows[:longer].sum(axis=1), rows[longer:, :size].sum(axis=1)))

@@ -284,6 +284,19 @@ class TestSurrogate:
             assert gs >= g - 1e-9
 
 
+def test_lag_whose_cycle_spans_no_time_is_nan():
+    # two point masses at zero: at lag 0 a cycle spans no time, at lag 0.5 it
+    # spans 0.5 and every job scores f(0) = 1
+    zero = Deterministic(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rewards in (_closed_rewards(zero, zero, ExponentialReward(1.0), [0.0, 0.5]),
+                        analytics._surrogate_rewards(zero, zero, 1.0, [0.0, 0.5])):
+            assert math.isnan(rewards[0]) and rewards[1] == 2.0
+        assert math.isnan(reward_exact(zero, zero, ExponentialReward(1.0), 0.0))
+        assert math.isnan(surrogate_reward(zero, zero, 1.0, 0.0))
+
+
 class TestDeltaStar:
     def test_exp_exp_closed_form(self):
         # product = 0.5 / 0.67, so delta* = ln(1.34)

@@ -140,6 +140,19 @@ def test_grid_search_command(tmp_path):
     assert summary["objective"] == "surrogate"
 
 
+@pytest.mark.parametrize("objective", ["simulated", "exact", "surrogate"])
+def test_grid_search_skips_a_lag_that_spans_no_time(tmp_path, objective):
+    zero = {"kind": "deterministic", "value": 0.0}
+    cfg = write_config(tmp_path, {"service": zero, "delay": zero, "objective": objective,
+                                  "reward": {"kind": "exp", "kappa": 1.0}, "lag_max": 1.0})
+    out = tmp_path / "out"
+    assert run(["grid-search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert (out / "grid.csv").read_text().splitlines()[1].startswith("0,nan,")
+    summary = json.loads((out / "summary.json").read_text())
+    assert float(summary["best_lag"]) == pytest.approx(1.0 / 60.0, rel=1e-12)
+    assert float(summary["best_reward"]) == pytest.approx(60.0, rel=1e-12)
+
+
 def test_bayes_command(tmp_path):
     cfg = write_config(tmp_path, {
         **EXP_EXP,

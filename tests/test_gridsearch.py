@@ -1,6 +1,7 @@
 """Grid-search benchmark: objectives, reproducibility, tie-breaks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_tie_breaks_toward_zero_lag():
     rewards = [p.reward for p in result.points]
     assert rewards == [1.0, 1.0, 1.0]
     assert result.best_lag == 0.0
+
+
+@pytest.mark.parametrize("objective", ["simulated", "exact", "surrogate"])
+def test_nan_points_never_win(objective):
+    # two point masses at zero: the lag-0 cycle spans no time, so its point is
+    # NaN; the next lag, 1/60, spans 1/60 per job and scores 60 f(0) = 60
+    zero = Deterministic(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize(zero, zero, F1, objective=objective, lag_max=1.0)
+    assert math.isnan(result.points[0].reward)
+    assert result.best_lag == result.points[1].lag
+    assert result.best_reward == pytest.approx(60.0, rel=1e-12)
 
 
 def test_default_grid_span():
