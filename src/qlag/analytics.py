@@ -116,8 +116,8 @@ def _reward_after_wait(service: DistributionSpec, f):
     a point-mass service; otherwise tabulated by Gauss-Legendre quadrature
     over S with cubic interpolation in w: 2048 knots up to the service's
     0.999 quantile, where h bends most, and 256 more up to its
-    1 - RULE_TAIL_EPS quantile, the largest wait the kernel asks for.
-    Beyond that, h is the same quadrature, evaluated in blocks of rows.
+    1 - RULE_TAIL_EPS quantile, the largest wait the kernel asks for: it
+    cuts S_prev there, and lag + D >= 0.
     """
     try:
         return _reward_after_wait_cached(service, f)
@@ -150,17 +150,7 @@ def _build_reward_after_wait(service: DistributionSpec, f):
     w_mid = service.ppf(0.999)
     w_max = service.upper_quantile(RULE_TAIL_EPS)
     w_grid = np.concatenate((np.linspace(0.0, w_mid, 2048), np.linspace(w_mid, w_max, 257)[1:]))
-    spline = scipy.interpolate.CubicSpline(w_grid, quad_h(w_grid))
-
-    def h(w):
-        w = np.asarray(w, dtype=float)
-        out = spline(w)
-        far = w > w_max
-        if far.any():
-            out[far] = quad_h(w[far])
-        return out
-
-    return h
+    return scipy.interpolate.CubicSpline(w_grid, quad_h(w_grid))
 
 
 def _wait_terms(service, delay, lags, h=None) -> np.ndarray:

@@ -1,10 +1,15 @@
 """Sufficient-condition checkers for zero-lag optimality.
 
-Each checker evaluates one analytic condition under which calling the next
-job immediately (zero lag) maximizes the long-run reward, and reports the
-two sides of the inequality plus a three-valued verdict. A divergent MGF or
-a failed numeric evaluation yields "indeterminate" rather than a silent
-"fails": the conditions presuppose well-defined exponential moments.
+Each checker evaluates one analytic condition for calling the next job
+immediately (zero lag), and reports the two sides of the inequality plus a
+three-valued verdict. Theorem 1 and its corollaries speak about the reward
+G itself. Theorem 2 (``check_surrogate``, and ``region_scan`` in mode
+"thm2_cond1") makes zero lag the maximiser of the surrogate upper bound on
+G, not of G: at t_s = 1, t_d = 0.8 and kappa = 1 (exponential laws) both of
+its conditions hold, yet G(0.075) exceeds G(0). A divergent MGF, one beyond
+the float range, or a failed numeric evaluation yields "indeterminate"
+rather than a silent "fails": the conditions presuppose well-defined
+exponential moments.
 """
 
 from __future__ import annotations
@@ -226,7 +231,8 @@ def check_surrogate(
     delay: DistributionSpec,
     kappa: float,
 ) -> tuple[ConditionReport, ConditionReport]:
-    """Both surrogate-bound conditions for zero-lag optimality.
+    """Both Theorem-2 conditions, under which zero lag maximizes the surrogate
+    bound on G (not necessarily G itself; see the module docstring).
 
     Condition 1: M_S(-kappa) * M_D(kappa) >= 1 (reported as rhs, with lhs = 1).
     Condition 2: (1/kappa) ln(1/(M_D(kappa) M_S(-kappa))) + E[D] + E[W]|_0
@@ -294,7 +300,8 @@ def region_scan(
     """Classify every (t_s, t_d) cell by one zero-lag optimality condition.
 
     The laws come from ``law_for_family`` at each cell's means. mode
-    "thm2_cond1" tests the MGF product; mode "cor1" runs the
+    "thm2_cond1" tests the MGF product, the first condition under which zero
+    lag maximizes the surrogate bound on G; mode "cor1" runs the
     exponential-reward specialization checker. Cells whose MGFs diverge
     are marked indeterminate. A bad mode, family or kappa raises a
     ParameterError naming ``mode``, ``service_family``, ``delay_family``

@@ -43,7 +43,7 @@ _MC_FALLBACK_SEED = 0x7A11BACC  # fixed: fallback estimates must stay reproducib
 
 
 class DivergentMGFError(ValueError):
-    """E[exp(a*X)] does not exist for the requested argument."""
+    """E[exp(a*X)] is infinite, or beyond the float range, at the requested argument."""
 
 
 def _norm_pdf(z):
@@ -55,17 +55,28 @@ class DistributionSpec(ABC):
 
     Every concrete law exposes a ``mean`` attribute/property, seeded
     ``sample``, an ``mgf`` that raises :class:`DivergentMGFError` where
-    E[exp(a*X)] is infinite, and ``with_mean`` which rescales (or shifts, for
-    the truncated normal) the law to a target mean while preserving its shape.
+    E[exp(a*X)] is infinite or overflows a float, and ``with_mean`` which
+    rescales (or shifts, for the truncated normal) the law to a target mean
+    while preserving its shape.
     """
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from the law: a scalar for size=None, else an ndarray."""
 
-    @abstractmethod
     def mgf(self, a: float) -> float:
-        """E[exp(a*X)]."""
+        """E[exp(a*X)]; DivergentMGFError where it is infinite or overflows."""
+        try:
+            value = self._mgf(a)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DivergentMGFError(f"E[exp(a*X)] exceeds the float range for {self} at a={a}")
+        return value
+
+    @abstractmethod
+    def _mgf(self, a: float) -> float:
+        """E[exp(a*X)], raising DivergentMGFError where it is infinite."""
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -173,7 +184,7 @@ class Exponential(DistributionSpec):
     def sample(self, rng, size=None):
         return rng.exponential(self.mean, size)
 
-    def mgf(self, a):
+    def _mgf(self, a):
         if a * self.mean >= 1.0:
             raise DivergentMGFError(
                 f"E[exp(a*X)] diverges for exponential(mean={self.mean}) at a={a}"
@@ -225,10 +236,10 @@ class Uniform(DistributionSpec):
     def sample(self, rng, size=None):
         return rng.uniform(self.lower, self.upper, size)
 
-    def mgf(self, a):
-        if a == 0.0:
-            return 1.0
+    def _mgf(self, a):
         width = self.upper - self.lower
+        if a * width == 0.0:  # a = 0, or a*w below the float range: the limit
+            return math.exp(a * self.lower)
         # exp(a*l) * (exp(a*w) - 1) / (a*w), stable for small a*w
         return math.exp(a * self.lower) * math.expm1(a * width) / (a * width)
 
@@ -307,7 +318,7 @@ class TruncatedNormal(DistributionSpec):
             min(max(x, self.lower), self.upper)
         )
 
-    def mgf(self, a):
+    def _mgf(self, a):
         # exp(mu*a + sigma^2 a^2 / 2) * (Phi(beta - sigma*a) - Phi(alpha - sigma*a)) / Z
         # (Johnson, Kotz & Balakrishnan, vol. 1, sec. 10.1), summed in logs so that a
         # large |sigma*a| neither overflows nor underflows; a window above the shifted
@@ -388,7 +399,7 @@ class Deterministic(DistributionSpec):
             return self.value
         return np.full(size, self.value, dtype=float)
 
-    def mgf(self, a):
+    def _mgf(self, a):
         return math.exp(a * self.value)
 
     def support(self):

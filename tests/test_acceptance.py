@@ -260,7 +260,7 @@ def test_criterion_8_mean_shift_tracking():
         methods=frozenset({"bayes"}), schedule=sched, n=20_000, seeds=(3,),
         reporting=Window.last_k(5000),
     )
-    res = mean_shift_run("abrupt", base, width=2000)
+    res = mean_shift_run(base, width=2000)
     opt1 = optimize(EXP_S, EXP_D, F1, objective="exact").best_reward
     opt2 = optimize(Exponential(0.5), Exponential(0.1667), F1, objective="exact").best_reward
     abrupt_ok = True
@@ -282,7 +282,7 @@ def test_criterion_8_mean_shift_tracking():
         methods=frozenset({"bayes"}), schedule=sched_g, n=50_000, seeds=(3,),
         reporting=Window.last_k(5000),
     )
-    res_g = mean_shift_run("gradual", base_g, width=2000)
+    res_g = mean_shift_run(base_g, width=2000)
     mask = res_g.index > 5000
     mard = float(np.mean(np.abs(res_g.g_be[mask] - res_g.g_ref[mask]) / res_g.g_ref[mask]))
     gradual_ok = mard <= 0.10

@@ -478,8 +478,9 @@ def test_exact_grid_matches_pinned_quadrature(key):
 
 
 def test_exact_grid_memory_is_bounded():
-    # exponential service: the inner rule reaches waits far past the h
-    # table's 0.999 quantile, where an unblocked kernel once took gigabytes
+    # exponential service: the inner rule runs up to S_prev's 1 - 1e-15
+    # quantile, the end of the h table, where an unblocked kernel once took
+    # gigabytes
     analytics._reward_after_wait_cached.cache_clear()
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qlag import cli
 from qlag.cli import COMMAND_CONFIG_KEYS, EXIT_CONFIG, EXIT_INDETERMINATE, EXIT_OK, main
 
 EXP_EXP = {
@@ -323,6 +324,9 @@ _SUITE = {"cases": [_CASE]}
     ("grid-search", _GRID, "step=1e-12", "step"),
     ("grid-search", {**_GRID, "lag_max": 1e300}, "step=1e-300", "step"),
     ("region-scan", _REGION, 'ts={"min": 1, "max": 2, "count": 100000000}', "ts.count"),
+    # a kind the schedule's type contradicts
+    ("mean-shift", _MEAN_SHIFT, 'schedule={"kind": "gradual", "t_s_start": 1.0, "t_s_end": 0.5, '
+     '"t_d_start": 0.33, "t_d_end": 0.1667, "over_jobs": 2000}', "kind"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)
@@ -450,3 +454,111 @@ def test_help_enumerates_every_config_key(capsys):
         text = capsys.readouterr().out
         for key in keys:
             assert key in text, f"{command} --help does not document {key!r}"
+
+
+EXP1 = {"kind": "exp", "kappa": 1.0}
+
+# a config each command runs on, small enough to run quickly
+_BASES = {
+    "simulate": {**EXP_EXP, "n": 500, "reward": EXP1},
+    "grid-search": {**EXP_EXP, "reward": EXP1, "lag_max": 0.5, "step": 0.25},
+    "bayes": {**EXP_EXP, "reward": EXP1, "n": 6000, "rule": "gamma"},
+    "check-conditions": {**EXP_EXP, "reward": EXP1},
+    "region-scan": _REGION,
+    "mean-shift": {**_MEAN_SHIFT, "n": 4000, "rule": "gamma",
+                   "schedule": {"kind": "abrupt", "segments": [[2000, 1.0, 0.33], [2000, 0.5, 0.2]]}},
+    "suite": {"cases": [{**_CASE, "methods": ["grid", "bayes"]}]},
+}
+
+_LEARNER_DEFAULTS = {"rule": "gradient", "alpha0": 1, "beta0": 1, "eps_idle": 3, "eps_busy": 1}
+
+# every optional key, set to the value the run takes when the key is left out
+_DEFAULTS = {
+    "simulate": {"lag": 0, "schedule": None, "reward": None, "window": "all"},
+    "grid-search": {"lag_min": 0, "lag_max": 3.0, "step": 0.5 / 60, "n": 100_000,
+                    "objective": "simulated", "schedule": None, "burn_in": 1000},
+    "bayes": {"schedule": None, **_LEARNER_DEFAULTS,
+              "reporting": {"kind": "last_k", "k": 5000}},
+    "check-conditions": {"checks": ["general", "exponential", "surrogate"]},
+    "region-scan": {"mode": "thm2_cond1"},
+    "mean-shift": {"kind": "abrupt", "width": 2000, **_LEARNER_DEFAULTS},
+    "suite": {"grid_n": 100_000},
+}
+
+# the message a config without the key exits with; "missing required field" otherwise
+_MISSING = {
+    "service": "expected an object, got NoneType",
+    "delay": "expected an object, got NoneType",
+    "reward": "expected an object, got NoneType",
+    "ts": "expected a list of values or {min, max, count}",
+    "td": "expected a list of values or {min, max, count}",
+    "cases": "expected a nonempty list of experiment objects",
+}
+
+
+def _keys(required):
+    return [(command, key) for command, (_, keys) in cli._COMMANDS.items()
+            for key, (_, is_required, _) in keys.items() if is_required == required]
+
+
+def test_tables_cover_every_key():
+    assert set(_keys(True)) == {(c, k) for c, base in _BASES.items() for k in base
+                                if k not in _DEFAULTS[c]}
+    assert set(_keys(False)) == {(c, k) for c, keys in _DEFAULTS.items() for k in keys}
+
+
+@pytest.mark.parametrize("command, key", _keys(True))
+def test_missing_required_key_names_it(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, {k: v for k, v in _BASES[command].items() if k != key})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": f"{key}: {_MISSING.get(key, 'missing required field')}",
+                      "field": key}
+
+
+@pytest.mark.parametrize("command, key", _keys(False))
+def test_optional_key_at_its_default_changes_nothing(tmp_path, command, key):
+    base = {k: v for k, v in _BASES[command].items() if k != key}
+    outs = tmp_path / "unset", tmp_path / "set"
+    for out, cfg in zip(outs, (base, {**base, key: _DEFAULTS[command][key]})):
+        path = write_config(tmp_path, cfg, f"{out.name}.json")
+        assert run([command, "--config", path, "--out", str(out), "--seed", "7"]) == EXIT_OK
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+_U02 = {"kind": "uniform", "lower": 0, "upper": 2}
+_TN = {"kind": "truncnorm", "mu": 1, "sigma": 0.5, "lower": 0, "upper": 2}
+
+
+def _point(value):
+    return {"kind": "deterministic", "value": value}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("check-conditions", {"service": EXP_EXP["service"], "delay": _U02,
+                          "reward": {"kind": "exp", "kappa": 400}}),
+    ("check-conditions", {"service": _point(1), "delay": _point(10),
+                          "reward": {"kind": "exp", "kappa": 100}}),
+    ("check-conditions", {"service": EXP_EXP["service"], "delay": _TN,
+                          "reward": {"kind": "exp", "kappa": 500}}),
+    ("region-scan", {"service_family": "exponential", "delay_family": "uniform",
+                     "kappa": 400, "ts": [1], "td": [1]}),
+    ("grid-search", {"service": EXP_EXP["service"], "delay": _U02,
+                     "reward": {"kind": "exp", "kappa": 400}, "objective": "surrogate"}),
+    ("grid-search", {"service": {"kind": "uniform", "lower": 0, "upper": 1e-300},
+                     "delay": EXP_EXP["service"], "reward": {"kind": "exp", "kappa": 1e-300},
+                     "objective": "exact"}),
+    ("suite", {"cases": [{**_CASE, "delay": _U02, "reward": {"kind": "exp", "kappa": 400},
+                          "methods": ["surrogate"]}]}),
+], ids=["exp-uniform", "points", "exp-truncnorm", "region", "surrogate-grid", "tiny-uniform",
+        "suite"])
+def test_mgf_beyond_the_float_range_never_crashes(tmp_path, capsys, command, config):
+    # an MGF that overflows is a divergent one: an indeterminate verdict or a
+    # named field, never a traceback
+    cfg = write_config(tmp_path, config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (
+        EXIT_OK, EXIT_CONFIG, EXIT_INDETERMINATE)
+    capsys.readouterr()

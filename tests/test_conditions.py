@@ -21,6 +21,7 @@ from qlag import (
     check_surrogate,
     optimize,
     region_scan,
+    reward_exact,
     verify_assumption,
 )
 from qlag.distributions import law_for_family
@@ -277,3 +278,18 @@ class TestRegionScan:
         with pytest.raises(ParameterError) as info:
             region_scan([1.0], [0.5], **{"kappa": 1.0, **kwargs})
         assert info.value.name == name
+
+
+def test_theorem2_certifies_the_surrogate_optimum_not_g():
+    # both Theorem-2 conditions hold at (t_s, t_d, kappa) = (1, 0.8, 1), and the
+    # surrogate bound peaks at zero lag; the exact G still peaks off zero, so the
+    # verdicts speak about the surrogate's maximiser only
+    service, delay, f = Exponential(1.0), Exponential(0.8), ExponentialReward(1.0)
+    cond1, cond2 = check_surrogate(service, delay, 1.0)
+    assert cond1.verdict == cond2.verdict == VERDICT_HOLDS
+    assert cond2.lhs == pytest.approx(0.4392648236814, rel=1e-12)
+    assert cond2.rhs == pytest.approx(4.0 / 9.0, rel=1e-12)
+    assert optimize(service, delay, f, objective="surrogate").best_lag == 0.0
+    assert reward_exact(service, delay, f, 0.075) == pytest.approx(0.266932720859, rel=1e-9)
+    assert reward_exact(service, delay, f, 0.0) == pytest.approx(0.266393442623, rel=1e-9)
+    assert optimize(service, delay, f, objective="exact").best_lag == pytest.approx(0.05)

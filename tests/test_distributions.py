@@ -95,6 +95,21 @@ def test_deterministic_mgf():
     assert Deterministic(0.8).mgf(2.0) == pytest.approx(math.exp(1.6), rel=1e-15)
 
 
+@pytest.mark.parametrize("spec, a", [
+    (Uniform(0.0, 2.0), 400.0),
+    (Deterministic(10.0), 100.0),
+    (TruncatedNormal(1.0, 0.5, 0.0, 2.0), 500.0),
+])
+def test_mgf_beyond_the_float_range_is_divergent(spec, a):
+    with pytest.raises(DivergentMGFError, match="float range"):
+        spec.mgf(a)
+
+
+def test_uniform_mgf_where_a_times_width_underflows():
+    # (exp(a*w) - 1) / (a*w) tends to 1: the MGF is exp(a*lower)
+    assert Uniform(0.0, 1e-300).mgf(1e-300) == 1.0
+
+
 @pytest.mark.parametrize("a", [-2.0, -0.3, 0.7, 1.5])
 def test_uniform_mgf_against_quadrature(a):
     spec = Uniform(0.5, 1.5)

@@ -23,7 +23,6 @@ from qlag import (
     surrogate_reward,
 )
 from qlag import scenarios
-from qlag.scenarios import has_closed_form_mgf
 
 F1 = ExponentialReward(1.0)
 
@@ -61,10 +60,16 @@ class TestExperimentSpec:
         assert cases["F1"].service.mean == pytest.approx(1.0, abs=1e-12)
         assert cases["E2"].delay.mean == pytest.approx(0.1667, abs=1e-12)
 
-    def test_surrogate_requires_closed_mgfs(self):
+    def test_truncnorm_surrogate_case_fills_its_columns(self):
+        # every law's MGF is closed form, so a truncated normal takes the surrogate too
         tn = TruncatedNormal(0.33, 0.165, 0.0, 0.66)
-        with pytest.raises(ValueError):
-            _spec(Exponential(1.0), tn, {"bayes", "surrogate"})
+        spec = _spec(Exponential(1.0), tn, {"bayes", "surrogate"}, n=6000)
+        row = run_suite([spec])[0]
+        learned = run_adaptive(spec.service, tn, None, F1, n=6000, seed=1,
+                               reporting=spec.reporting)
+        assert row.g_sur == optimize(spec.service, tn, F1, objective="surrogate").best_reward
+        assert row.g_tb == surrogate_reward(spec.service, tn, 1.0, learned.lag_estimate)
+        assert np.isfinite(row.g_sur) and np.isfinite(row.g_tb)
 
     def test_surrogate_requires_finite_delay_mgf(self):
         with pytest.raises(ValueError):
@@ -87,11 +92,6 @@ class TestExperimentSpec:
         for method in ("exact", "conditions"):
             with pytest.raises(ValueError, match="unknown methods"):
                 _spec(Exponential(1.0), Exponential(0.33), {"bayes", method})
-
-    def test_closed_form_mgf_predicate(self):
-        assert has_closed_form_mgf(Exponential(1.0))
-        assert has_closed_form_mgf(Uniform(0.0, 1.0))
-        assert not has_closed_form_mgf(TruncatedNormal(1.0, 0.5, 0.0, 2.0))
 
 
 class TestRunSuite:
@@ -199,7 +199,7 @@ class TestMeanShift:
         sched = AbruptPiecewise(((5000, 1.0, 0.33), (5000, 0.5, 0.1667)))
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
                      n=10_000, schedule=sched)
-        res = mean_shift_run("abrupt", base, width=1000)
+        res = mean_shift_run(base, width=1000)
         assert len(res.index) == 10_000 - 1000 + 1
         assert res.index[0] == 1000 and res.index[-1] == 10_000
         # the reference is piecewise constant at the two segment optima
@@ -209,7 +209,7 @@ class TestMeanShift:
         sched = GradualLinear(1.0, 0.5, 0.33, 0.1667, 10_000)
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
                      n=10_000, schedule=sched)
-        res = mean_shift_run("gradual", base, width=1000)
+        res = mean_shift_run(base, width=1000)
         assert np.all(np.isfinite(res.g_ref))
         # service/delay speed up over the ramp, so the optimum reward rises
         assert res.g_ref[-1] > res.g_ref[0]
@@ -217,27 +217,26 @@ class TestMeanShift:
     def test_stationary_schedule_degenerates_to_constant_reference(self):
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
                      n=6000, schedule=Stationary(1.0, 0.33))
-        res = mean_shift_run("gradual", base, width=1000)
+        res = mean_shift_run(base, width=1000)
         assert np.allclose(res.g_ref, res.g_ref[0])
 
-    def test_kind_must_match_schedule(self):
-        base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"}, n=4000,
-                     schedule=GradualLinear(1.0, 0.5, 0.33, 0.1667, 4000))
-        with pytest.raises(ValueError):
-            mean_shift_run("abrupt", base)
-        with pytest.raises(ValueError):
-            mean_shift_run("sideways", base)
+    def test_requires_a_schedule(self):
+        # the schedule's type picks the reference, so a run needs one
+        base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"}, n=4000)
+        with pytest.raises(ParameterError) as info:
+            mean_shift_run(base)
+        assert info.value.name == "schedule"
 
     def test_requires_bayes_method(self):
         base = _spec(Exponential(1.0), Exponential(0.33), {"grid"}, n=4000,
                      schedule=GradualLinear(1.0, 0.5, 0.33, 0.1667, 4000))
         with pytest.raises(ValueError):
-            mean_shift_run("gradual", base)
+            mean_shift_run(base)
 
     def test_csv_format(self, tmp_path):
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
                      n=3000, schedule=Stationary(1.0, 0.33))
-        res = mean_shift_run("gradual", base, width=1000)
+        res = mean_shift_run(base, width=1000)
         path = tmp_path / "shift.csv"
         res.to_csv(path)
         lines = path.read_text().splitlines()
