@@ -41,6 +41,7 @@ from .config import (
     parse_schedule,
     parse_window,
 )
+from .distributions import DivergentMGFError
 from .gridsearch import MAX_GRID_POINTS, optimize
 from .reward import ExponentialReward, PolynomialReward
 from .scenarios import ExperimentSpec, mean_shift_run, run_suite, suite_to_csv
@@ -219,12 +220,15 @@ class _OutputDir:
 def _run_error(exc: ValueError, window: str, fallback: str) -> ConfigError:
     """The config error naming the field behind a ValueError a run raised:
     the window field for a window that does not fit, ``schedule`` for a
-    schedule the laws cannot follow, the parameter a ParameterError names,
+    schedule the laws cannot follow, ``reward`` for a reward rate at which the
+    delay's E[exp(kappa D)] diverges, the parameter a ParameterError names,
     and ``fallback`` for anything else."""
     if isinstance(exc, EmptyWindowError):
         field = window
     elif isinstance(exc, InvalidScheduleError):
         field = "schedule"
+    elif isinstance(exc, DivergentMGFError):
+        field = "reward"
     elif isinstance(exc, ParameterError):
         field = exc.name
     else:
@@ -359,7 +363,7 @@ def _cmd_mean_shift(v: dict, out: _OutputDir, seed: int) -> int:
             raise ValueError("gradual runs need a GradualLinear (or Stationary) schedule")
         if kind == "abrupt" and not isinstance(schedule, AbruptPiecewise):
             raise ValueError("abrupt runs need an AbruptPiecewise schedule")
-        result = mean_shift_run(base, width=width, cfg=learner)
+        result = mean_shift_run(base, cfg=learner)
     except ValueError as exc:
         raise _run_error(exc, "width", "kind") from exc
     result.to_csv(out.target("meanshift.csv"))

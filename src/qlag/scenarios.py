@@ -221,13 +221,9 @@ def _exact_optimum(service, delay, f, t_s: float, t_d: float) -> float:
     ).best_reward
 
 
-def mean_shift_run(
-    base: ExperimentSpec,
-    *,
-    width: int = 2000,
-    cfg: BayesConfig = BayesConfig(),
-) -> MeanShiftResult:
-    """Run the adaptive policy under a drifting schedule.
+def mean_shift_run(base: ExperimentSpec, *, cfg: BayesConfig = BayesConfig()) -> MeanShiftResult:
+    """Run the adaptive policy under a drifting schedule, reporting its reward
+    over the sliding window ``base.reporting``.
 
     The reference series re-solves the exact-objective grid search at the
     instantaneous means: once per segment of an abrupt schedule, else at 11
@@ -238,6 +234,10 @@ def mean_shift_run(
     schedule = base.schedule
     if schedule is None:
         raise ParameterError("schedule", "mean-shift runs need a schedule")
+    if base.reporting.kind != "sliding":
+        raise ParameterError(
+            "reporting", f"mean-shift runs report over a sliding window, got {base.reporting.kind}"
+        )
 
     n = base.n
     result = run_adaptive(
@@ -248,8 +248,9 @@ def mean_shift_run(
         n=n,
         cfg=cfg,
         seed=base.seeds[0],
-        reporting=Window.sliding(width),
+        reporting=base.reporting,
     )
+    width = base.reporting.size
     ends = np.arange(width, n + 1)
     centers = ends - (width - 1) / 2.0
 

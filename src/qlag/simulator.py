@@ -18,6 +18,7 @@ import numpy as np
 
 from ._fmt import write_table
 from .distributions import DistributionSpec, TruncatedNormal
+from .reward import ExponentialReward
 from .streams import substream
 
 __all__ = [
@@ -49,6 +50,9 @@ STATE_BUSY = "busy"
 
 DEFAULT_BURN_IN = 1000
 _BATCHES = 32  # contiguous batches behind a batch-means standard error
+# largest kappa * lag the exponential sweep takes in closed form: its factor
+# e^(kappa lag) stays far inside the float range (e^710 overflows)
+_EXP_LAG_MAX = 600.0
 
 
 class InvalidScheduleError(ValueError):
@@ -335,12 +339,22 @@ def sweep_lags(
     work. Set-up lays the window's jobs out in the rows of the 32 batches,
     sorts each row by X and takes the lag-free batch sums once. At each lag a
     batch's reward and span are those sums corrected over the busy tail of its
-    row (``wait_step`` gives the waits):
+    row, the columns past the lag's ``searchsorted`` position:
     F_B = sum f(S) + sum [f(W + S) - f(S)] and
     A_B = sum D + lag N_B + sum W - W(last job of B) + W(job before B),
-    as the inter-arrival time of job j carries the wait of job j - 1. So the
-    work per lag scales with the number of jobs that wait, and memory stays a
-    few n-job arrays whatever the number of lags.
+    as the inter-arrival time of job j carries the wait of job j - 1.
+
+    For an exponential reward f(t) = e^(-kappa t), a job that waits earns
+    f(W + S) = e^(kappa lag) f(X + S). So each lag with kappa lag <= 600 is
+    answered in closed form, with no reward work: F_B is the sum of f(S) left
+    of the lag's position plus e^(kappa lag) times the sum of f(X + S) right
+    of it, and sum W is the sum of X right of it less lag times their count,
+    each read in one gather from prefix or suffix sums taken once. The sums of
+    f(X + S) are scaled by e^(kappa c), c the least X + S of a job with X > 0,
+    so that they do not underflow. Every other lag, and every lag of another
+    reward, runs the busy-set loop (``wait_step`` gives the waits), whose work
+    scales with the number of jobs that wait. Memory stays a few n-job arrays
+    whatever the number of lags.
     """
     for lag in lags:
         _check_lag(lag)
@@ -364,7 +378,7 @@ def sweep_lags(
         counts[0] -= 1
         d[0] = 0.0
     d_sums = _batch_sums(d[burn_in:], b)
-    s_rows = _batch_rows(s[burn_in:], b, 0.0)
+    s_rows = _batch_rows(s[burn_in:], b, np.inf)  # a pad cell earns f(inf) = 0
     x_rows = _batch_rows(x[1:], b, -np.inf)
     del s, d, x  # no lag needs the draws again: free them before the sort
     f_rows = np.asarray(f.eval(s_rows), dtype=float)
@@ -375,11 +389,36 @@ def sweep_lags(
     s_rows = np.take(s_rows, order)
     f_rows = np.take(f_rows, order)
     del order
-    # at each lag, every job that waits sits at or past column `start` of its sorted row
-    starts = np.min([np.searchsorted(row, lags, side="right") for row in x_rows], axis=0)
-    f_batch = np.empty((len(starts), b))
-    spans = np.empty((len(starts), b))
-    for i, (lag, start) in enumerate(zip(lags, starts)):
+    lags = np.asarray(lags, dtype=float)
+    # per row and lag, the column of the first job that waits: every job past it waits
+    firsts = np.array([np.searchsorted(row, lags, side="right") for row in x_rows])
+    f_batch = np.empty((len(lags), b))
+    spans = np.empty((len(lags), b))
+    closed = np.zeros(len(lags), dtype=bool)
+    if isinstance(f, ExponentialReward):
+        closed = f.kappa * lags <= _EXP_LAG_MAX
+    if closed.any():
+        lag, cols = lags[closed, None], firsts[:, closed]
+        busy = x_rows > 0.0
+        # a job that waits earns f(W + S) = e^(kappa (lag - c)) f(X + S - c);
+        # the shift c keeps f(X + S - c) from underflowing where f(W + S) does
+        # not, and f(inf) = 0 keeps exp from overflowing where X <= 0
+        xs = np.add(x_rows, s_rows, out=np.full(x_rows.shape, np.inf), where=busy)
+        c = xs.min() if busy.any() else 0.0
+        xs -= c
+        tail_e = _tail_sums(f.eval(xs), busy, cols)
+        del xs
+        tail_x = _tail_sums(x_rows, busy, cols)
+        busy_count = x_rows.shape[1] - cols.T
+        # the jobs that do not wait, summed directly: f_sums less the sum over
+        # the jobs that wait would cancel where waiting costs nearly all reward
+        head_f = _head_sums(f_rows, cols)
+        f_batch[closed] = head_f + np.exp(f.kappa * (lag - c)) * tail_e
+        edge = wait_step(x_edge, lag, 0.0)
+        spans[closed] = (d_sums + lag * counts + (tail_x - lag * busy_count)
+                         - edge[:, 1:] + edge[:, :-1])
+    for i in np.flatnonzero(~closed):
+        lag, start = lags[i], firsts[:, i].min()
         wait = wait_step(x_rows[:, start:], lag, 0.0)
         gain = np.asarray(f.eval(wait + s_rows[:, start:]), dtype=float)
         gain -= f_rows[:, start:]  # 0 where the job does not wait
@@ -480,6 +519,24 @@ def _batch_rows(x: np.ndarray, b: int, pad: float) -> np.ndarray:
     rows[:longer] = x[:cut].reshape(longer, size + 1)
     rows[longer:, :size] = x[cut:].reshape(b - longer, size)
     return rows
+
+
+def _head_sums(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each column of ``cols`` (rows x k), the sums of each row's cells
+    left of it, as a (k x rows) array: prefix sums read in one gather."""
+    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows, axis=1, out=sums[:, 1:])
+    return np.take_along_axis(sums, cols, axis=1).T
+
+
+def _tail_sums(rows: np.ndarray, keep: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each column of ``cols`` (rows x k), the sums of the kept cells of
+    each row from that column on, as a (k x rows) array: suffix sums with a
+    trailing 0 column, read in one gather."""
+    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.copyto(sums[:, :-1], rows, where=keep)
+    np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
+    return np.take_along_axis(sums, cols, axis=1).T
 
 
 def _row_sums(rows: np.ndarray, m: int) -> np.ndarray:

@@ -258,9 +258,9 @@ def test_criterion_8_mean_shift_tracking():
     base = ExperimentSpec(
         id="c8-abrupt", service=EXP_S, delay=EXP_D, reward=F1,
         methods=frozenset({"bayes"}), schedule=sched, n=20_000, seeds=(3,),
-        reporting=Window.last_k(5000),
+        reporting=Window.sliding(2000),
     )
-    res = mean_shift_run(base, width=2000)
+    res = mean_shift_run(base)
     opt1 = optimize(EXP_S, EXP_D, F1, objective="exact").best_reward
     opt2 = optimize(Exponential(0.5), Exponential(0.1667), F1, objective="exact").best_reward
     abrupt_ok = True
@@ -280,9 +280,9 @@ def test_criterion_8_mean_shift_tracking():
     base_g = ExperimentSpec(
         id="c8-gradual", service=EXP_S, delay=EXP_D, reward=F1,
         methods=frozenset({"bayes"}), schedule=sched_g, n=50_000, seeds=(3,),
-        reporting=Window.last_k(5000),
+        reporting=Window.sliding(2000),
     )
-    res_g = mean_shift_run(base_g, width=2000)
+    res_g = mean_shift_run(base_g)
     mask = res_g.index > 5000
     mard = float(np.mean(np.abs(res_g.g_be[mask] - res_g.g_ref[mask]) / res_g.g_ref[mask]))
     gradual_ok = mard <= 0.10

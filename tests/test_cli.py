@@ -327,6 +327,9 @@ _SUITE = {"cases": [_CASE]}
     # a kind the schedule's type contradicts
     ("mean-shift", _MEAN_SHIFT, 'schedule={"kind": "gradual", "t_s_start": 1.0, "t_s_end": 0.5, '
      '"t_d_start": 0.33, "t_d_end": 0.1667, "over_jobs": 2000}', "kind"),
+    # E[exp(4 D)] diverges for an exponential delay of mean 0.33: kappa is at fault
+    ("grid-search", {**_GRID, "objective": "surrogate"}, 'reward={"kind": "exp", "kappa": 4}',
+     "reward"),
 ])
 def test_run_errors_name_their_field(tmp_path, capsys, command, base, override, field):
     cfg = write_config(tmp_path, base)

@@ -27,7 +27,8 @@ from qlag import scenarios
 F1 = ExponentialReward(1.0)
 
 
-def _spec(service, delay, methods, n=20_000, seeds=(1,), schedule=None, case_id="t"):
+def _spec(service, delay, methods, n=20_000, seeds=(1,), schedule=None, case_id="t",
+          reporting=Window.last_k(5000)):
     return ExperimentSpec(
         id=case_id,
         service=service,
@@ -37,7 +38,7 @@ def _spec(service, delay, methods, n=20_000, seeds=(1,), schedule=None, case_id=
         schedule=schedule,
         n=n,
         seeds=tuple(seeds),
-        reporting=Window.last_k(5000),
+        reporting=reporting,
     )
 
 
@@ -198,8 +199,8 @@ class TestMeanShift:
     def test_abrupt_series_and_reference(self):
         sched = AbruptPiecewise(((5000, 1.0, 0.33), (5000, 0.5, 0.1667)))
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
-                     n=10_000, schedule=sched)
-        res = mean_shift_run(base, width=1000)
+                     n=10_000, schedule=sched, reporting=Window.sliding(1000))
+        res = mean_shift_run(base)
         assert len(res.index) == 10_000 - 1000 + 1
         assert res.index[0] == 1000 and res.index[-1] == 10_000
         # the reference is piecewise constant at the two segment optima
@@ -208,16 +209,16 @@ class TestMeanShift:
     def test_gradual_reference_interpolates(self):
         sched = GradualLinear(1.0, 0.5, 0.33, 0.1667, 10_000)
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
-                     n=10_000, schedule=sched)
-        res = mean_shift_run(base, width=1000)
+                     n=10_000, schedule=sched, reporting=Window.sliding(1000))
+        res = mean_shift_run(base)
         assert np.all(np.isfinite(res.g_ref))
         # service/delay speed up over the ramp, so the optimum reward rises
         assert res.g_ref[-1] > res.g_ref[0]
 
     def test_stationary_schedule_degenerates_to_constant_reference(self):
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
-                     n=6000, schedule=Stationary(1.0, 0.33))
-        res = mean_shift_run(base, width=1000)
+                     n=6000, schedule=Stationary(1.0, 0.33), reporting=Window.sliding(1000))
+        res = mean_shift_run(base)
         assert np.allclose(res.g_ref, res.g_ref[0])
 
     def test_requires_a_schedule(self):
@@ -227,6 +228,14 @@ class TestMeanShift:
             mean_shift_run(base)
         assert info.value.name == "schedule"
 
+    def test_requires_a_sliding_window(self):
+        # the reported series is the learner's reward over base.reporting
+        base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"}, n=4000,
+                     schedule=Stationary(1.0, 0.33))
+        with pytest.raises(ParameterError) as info:
+            mean_shift_run(base)
+        assert info.value.name == "reporting"
+
     def test_requires_bayes_method(self):
         base = _spec(Exponential(1.0), Exponential(0.33), {"grid"}, n=4000,
                      schedule=GradualLinear(1.0, 0.5, 0.33, 0.1667, 4000))
@@ -235,8 +244,8 @@ class TestMeanShift:
 
     def test_csv_format(self, tmp_path):
         base = _spec(Exponential(1.0), Exponential(0.33), {"bayes"},
-                     n=3000, schedule=Stationary(1.0, 0.33))
-        res = mean_shift_run(base, width=1000)
+                     n=3000, schedule=Stationary(1.0, 0.33), reporting=Window.sliding(1000))
+        res = mean_shift_run(base)
         path = tmp_path / "shift.csv"
         res.to_csv(path)
         lines = path.read_text().splitlines()

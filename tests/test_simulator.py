@@ -1,6 +1,7 @@
 """Trajectory generation: the waiting-time recursion and reward estimation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -279,8 +280,21 @@ class TestSweepLags:
         (Uniform(0.0, 2.0), Uniform(0.0, 0.66), [2.0, 2.5, 5.0], F1, 1000),
         (Exponential(1.0), Exponential(0.33), [0.0, 0.25, 2.0], F1, 19_990),
         (Exponential(1.0), Exponential(0.33), [0.0, 0.25, 2.0], F1, 19_999),
+        # an exponential reward takes the lags with kappa * lag <= 600 in
+        # closed form and the others in the busy-set loop, where e^(kappa lag)
+        # would overflow (a RuntimeWarning fails the test)
+        (Exponential(1.0), Exponential(0.33), [0.0, 1.0, 800.0], F1, 1000),
+        (Exponential(1.0), Exponential(0.33), [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+         ExponentialReward(300.0), 1000),
+        (Exponential(1.0), Exponential(0.33), [1.9, 1.95, 1.99, 2.0, 2.01, 2.05, 2.1],
+         ExponentialReward(300.0), 1000),
+        # rewards near e^-680, where f(X + S) of every waiting job underflows
+        (Uniform(2.4, 2.6), Uniform(0.4, 0.6), [1.9, 2.0], ExponentialReward(280.0), 1000),
+        # waiting costs all but about e^-25 of a job's reward
+        (Uniform(0.9, 1.1), Uniform(0.4, 0.6), [0.0, 0.1, 0.3], ExponentialReward(50.0), 1000),
     ], ids=["poly2", "lag-equals-x", "every-job-waits", "no-job-waits",
-            "fewer-jobs-than-batches", "one-job"])
+            "fewer-jobs-than-batches", "one-job", "kappa1-lag800", "kappa300",
+            "across-the-bound", "rewards-near-the-float-floor", "waiting-costs-nearly-all"])
     def test_edge_cases_equal_per_lag_runs(self, service, delay, lags, f, burn_in):
         args = (service, delay, lags, f, 20_000)
         swept = sweep_lags(*args, seed=3, burn_in=burn_in)
@@ -303,6 +317,34 @@ class TestSweepLags:
         f, n = Counting(), 100_000
         result = optimize(case.service, case.delay, f, objective="simulated", n=n, seed=5)
         assert f.elements < 0.35 * len(result.points) * n
+
+    def test_exponential_reward_work_does_not_grow_with_the_lags(self):
+        # the closed form evaluates f on each job at most twice, whatever the
+        # number of lags; a per-lag loop would hand f about 0.25 L n elements
+        case = default_cases()[0]
+        elements = []
+
+        class Counting(ExponentialReward):
+            def eval(self, t):
+                elements.append(np.size(t))
+                return super().eval(t)
+
+        n, lags = 100_000, np.linspace(0.0, 3.0 * case.service.mean, 6001)
+        sweep_lags(case.service, case.delay, lags, Counting(case.reward.kappa), n)
+        assert sum(elements) <= 2 * (n + simulator._BATCHES)
+
+    def test_sweep_memory_is_bounded(self):
+        # the default 61-lag grid at n = 1e5: a few n-job arrays, about 5 MB
+        case = default_cases()[0]
+        tracemalloc.start()
+        try:
+            grid = optimize(case.service, case.delay, case.reward, objective="simulated",
+                            n=100_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grid.points) == 61
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("step", [1.5, 0.05])
     def test_optimize_draws_each_stream_once(self, monkeypatch, step):
