@@ -321,10 +321,15 @@ def delta_star(service: DistributionSpec, delay: DistributionSpec, kappa: float)
     """Smallest lag at which M_S(-kappa) * e^(kappa*lag) * M_D(kappa) hits 1.
 
     Zero when the product already reaches 1 at zero lag (including exactly
-    at the boundary, taking the continuous limit).
+    at the boundary, taking the continuous limit). A product that underflows
+    to 0 raises a ParameterError naming ``kappa``.
     """
     _check_positive("kappa", kappa)
     product = service.mgf(-kappa) * delay.mgf(kappa)
     if product >= 1.0:
         return 0.0
+    if product == 0.0:
+        raise ParameterError(
+            "kappa", f"M_S(-kappa) * M_D(kappa) underflows to 0 at kappa = {kappa}"
+        )
     return math.log(1.0 / product) / kappa

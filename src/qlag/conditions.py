@@ -259,10 +259,16 @@ def check_surrogate(
         False,
         "rhs is the MGF product M_S(-kappa) * M_D(kappa); holds iff it reaches 1",
     )
-    ew0 = float(_exact_waits(service, delay, [0.0])[0])
     pds, tie_note = _prob_delay_exceeds_service(service, delay)
-    lhs2 = math.log(1.0 / product) / kappa + delay.mean + ew0
     rhs2 = pds / kappa
+    if product == 0.0:
+        # the true lhs exceeds ln(1 / 5e-324) / kappa > 744 / kappa, and rhs <= 1 / kappa
+        return cond1, ConditionReport(
+            "thm2_cond2", math.inf, rhs2, VERDICT_FAILS, False,
+            "the MGF product M_S(-kappa) * M_D(kappa) underflowed to 0, so lhs is inf",
+        )
+    ew0 = float(_exact_waits(service, delay, [0.0])[0])
+    lhs2 = math.log(1.0 / product) / kappa + delay.mean + ew0
     cond2 = ConditionReport(
         "thm2_cond2", lhs2, rhs2, _verdict(lhs2, rhs2, strict=True), False, tie_note
     )

@@ -5,11 +5,8 @@ every grid lag over them (``simulator.sweep_lags``): neighboring lags are
 compared on common random numbers, with far less noise than independent
 runs would allow, and the draws are paid for once per sweep instead of once
 per grid point. Each point agrees with a separate fixed-lag run within a
-relative 1e-12. An exponential reward takes every lag with kappa * lag <= 600
-in closed form, from tail sums read at the lag's position in the sorted
-jobs, with no reward work per lag; other lags and other rewards do reward
-work at each lag on only the jobs that wait. A point whose cycle spans no
-time is NaN and never the optimum.
+relative 1e-12; ``sweep_lags`` describes how the lags share their sums. A
+point whose cycle spans no time is NaN and never the optimum.
 """
 
 from __future__ import annotations

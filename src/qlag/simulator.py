@@ -335,25 +335,25 @@ def sweep_lags(
     (common random numbers).
 
     Job j waits W_j = max(X_j - lag, 0) with X_j = S_{j-1} - D_j, which no lag
-    changes, so at a given lag only the jobs with X_j > lag do lag-dependent
-    work. Set-up lays the window's jobs out in the rows of the 32 batches,
-    sorts each row by X and takes the lag-free batch sums once. At each lag a
-    batch's reward and span are those sums corrected over the busy tail of its
-    row, the columns past the lag's ``searchsorted`` position:
-    F_B = sum f(S) + sum [f(W + S) - f(S)] and
-    A_B = sum D + lag N_B + sum W - W(last job of B) + W(job before B),
-    as the inter-arrival time of job j carries the wait of job j - 1.
+    changes. Set-up lays the window's jobs out in the rows of the 32 batches
+    and sorts each row by X, so at each lag the jobs that wait are those from
+    the lag's ``searchsorted`` column on, and the others do not wait. The
+    batch spans and the reward of the jobs that do not wait are then read for
+    all lags at once, each in one gather, from suffix sums of X and prefix
+    sums of f(S):
+    A_B = sum D + lag N_B + sum W - W(last job of B) + W(job before B), as the
+    inter-arrival time of job j carries the wait of job j - 1, with sum W the
+    sum of X from the column on less lag times the jobs there.
 
+    Only the reward of the jobs that wait is left, and two branches add it.
     For an exponential reward f(t) = e^(-kappa t), a job that waits earns
-    f(W + S) = e^(kappa lag) f(X + S). So each lag with kappa lag <= 600 is
-    answered in closed form, with no reward work: F_B is the sum of f(S) left
-    of the lag's position plus e^(kappa lag) times the sum of f(X + S) right
-    of it, and sum W is the sum of X right of it less lag times their count,
-    each read in one gather from prefix or suffix sums taken once. The sums of
-    f(X + S) are scaled by e^(kappa c), c the least X + S of a job with X > 0,
-    so that they do not underflow. Every other lag, and every lag of another
-    reward, runs the busy-set loop (``wait_step`` gives the waits), whose work
-    scales with the number of jobs that wait. Memory stays a few n-job arrays
+    f(W + S) = e^(kappa lag) f(X + S), so each lag with kappa lag <= 600 adds
+    e^(kappa lag) times a suffix sum of f(X + S), read in the same gather,
+    with no reward work per lag. Those sums are scaled by e^(kappa c), c the
+    least X + S of a job with X > 0, so that they do not underflow. Every
+    other lag, and every lag of another reward, runs the busy-set loop: it
+    evaluates f(W + S) on the jobs that wait (``wait_step`` gives the waits),
+    so its work scales with their number. Memory stays a few n-job arrays
     whatever the number of lags.
     """
     for lag in lags:
@@ -378,11 +378,11 @@ def sweep_lags(
         counts[0] -= 1
         d[0] = 0.0
     d_sums = _batch_sums(d[burn_in:], b)
-    s_rows = _batch_rows(s[burn_in:], b, np.inf)  # a pad cell earns f(inf) = 0
-    x_rows = _batch_rows(x[1:], b, -np.inf)
+    s_rows = _batch_rows(s[burn_in:], b, np.inf)
+    x_rows = _batch_rows(x[1:], b, -np.inf)  # a pad cell never waits
     del s, d, x  # no lag needs the draws again: free them before the sort
     f_rows = np.asarray(f.eval(s_rows), dtype=float)
-    f_sums = _row_sums(f_rows, m)
+    f_rows[longer:, -1] = 0.0  # the pad cells, which are no jobs
     order = np.argsort(x_rows, axis=1)
     order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
     x_rows = np.take(x_rows, order)
@@ -390,15 +390,22 @@ def sweep_lags(
     f_rows = np.take(f_rows, order)
     del order
     lags = np.asarray(lags, dtype=float)
+    lag = lags[:, None]
     # per row and lag, the column of the first job that waits: every job past it waits
     firsts = np.array([np.searchsorted(row, lags, side="right") for row in x_rows])
-    f_batch = np.empty((len(lags), b))
-    spans = np.empty((len(lags), b))
+    tail_x = _tail_sums(x_rows, firsts)
+    busy_count = x_rows.shape[1] - firsts.T
+    edge = wait_step(x_edge, lag, 0.0)
+    spans = (d_sums + lag * counts + (tail_x - lag * busy_count)
+             - edge[:, 1:] + edge[:, :-1])
+    # the reward of the jobs that do not wait, summed directly: a lag-free sum
+    # less the waiting jobs' f(S) would cancel where waiting costs nearly all
+    # of a job's reward. Each branch below adds the reward of the jobs that wait.
+    f_batch = _head_sums(f_rows, firsts)
     closed = np.zeros(len(lags), dtype=bool)
     if isinstance(f, ExponentialReward):
         closed = f.kappa * lags <= _EXP_LAG_MAX
     if closed.any():
-        lag, cols = lags[closed, None], firsts[:, closed]
         busy = x_rows > 0.0
         # a job that waits earns f(W + S) = e^(kappa (lag - c)) f(X + S - c);
         # the shift c keeps f(X + S - c) from underflowing where f(W + S) does
@@ -406,25 +413,13 @@ def sweep_lags(
         xs = np.add(x_rows, s_rows, out=np.full(x_rows.shape, np.inf), where=busy)
         c = xs.min() if busy.any() else 0.0
         xs -= c
-        tail_e = _tail_sums(f.eval(xs), busy, cols)
+        tail_e = _tail_sums(f.eval(xs), firsts[:, closed])
         del xs
-        tail_x = _tail_sums(x_rows, busy, cols)
-        busy_count = x_rows.shape[1] - cols.T
-        # the jobs that do not wait, summed directly: f_sums less the sum over
-        # the jobs that wait would cancel where waiting costs nearly all reward
-        head_f = _head_sums(f_rows, cols)
-        f_batch[closed] = head_f + np.exp(f.kappa * (lag - c)) * tail_e
-        edge = wait_step(x_edge, lag, 0.0)
-        spans[closed] = (d_sums + lag * counts + (tail_x - lag * busy_count)
-                         - edge[:, 1:] + edge[:, :-1])
+        f_batch[closed] += np.exp(f.kappa * (lag[closed] - c)) * tail_e
     for i in np.flatnonzero(~closed):
-        lag, start = lags[i], firsts[:, i].min()
-        wait = wait_step(x_rows[:, start:], lag, 0.0)
-        gain = np.asarray(f.eval(wait + s_rows[:, start:]), dtype=float)
-        gain -= f_rows[:, start:]  # 0 where the job does not wait
-        f_batch[i] = f_sums + gain.sum(axis=1)
-        edge = wait_step(x_edge, lag, 0.0)
-        spans[i] = d_sums + lag * counts + wait.sum(axis=1) - edge[1:] + edge[:-1]
+        start = firsts[:, i].min()
+        wait = wait_step(x_rows[:, start:], lags[i], 0.0)
+        f_batch[i] += np.sum(f.eval(wait + s_rows[:, start:]), axis=1, where=wait > 0)
     ses = _batch_se(f_batch, spans)
     return [(_ratio(fb, sp), float(se)) for fb, sp, se in zip(f_batch, spans, ses)]
 
@@ -529,17 +524,11 @@ def _head_sums(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take_along_axis(sums, cols, axis=1).T
 
 
-def _tail_sums(rows: np.ndarray, keep: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """For each column of ``cols`` (rows x k), the sums of the kept cells of
-    each row from that column on, as a (k x rows) array: suffix sums with a
-    trailing 0 column, read in one gather."""
+def _tail_sums(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each column of ``cols`` (rows x k), the sums of each row's cells
+    from that column on, as a (k x rows) array: suffix sums with a trailing 0
+    column, read in one gather."""
     sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.copyto(sums[:, :-1], rows, where=keep)
+    sums[:, :-1] = rows
     np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
     return np.take_along_axis(sums, cols, axis=1).T
-
-
-def _row_sums(rows: np.ndarray, m: int) -> np.ndarray:
-    """``_batch_sums`` of the m elements that ``_batch_rows`` laid out in rows."""
-    size, longer = divmod(m, len(rows))
-    return np.concatenate((rows[:longer].sum(axis=1), rows[longer:, :size].sum(axis=1)))

@@ -116,6 +116,20 @@ class TestCheckConditions:
         out = tmp_path / "out"
         assert run(["check-conditions", "--config", cfg, "--out", str(out)]) == EXIT_INDETERMINATE
 
+    def test_underflowed_mgf_product_fails_cond2(self, tmp_path):
+        # M_S(-1) M_D(1) rounds to 0; the other checks' moments do too, and
+        # they report indeterminate
+        cfg = write_config(tmp_path, {
+            "service": {"kind": "deterministic", "value": 1000.0},
+            "delay": {"kind": "deterministic", "value": 0.1},
+            "reward": {"kind": "exp", "kappa": 1},
+        })
+        out = tmp_path / "out"
+        assert run(["check-conditions", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports = json.loads((out / "conditions.json").read_text())["reports"]
+        by_id = {r["condition_id"]: r for r in reports}
+        assert by_id["thm2_cond2"]["verdict"] == "fails"
+
     def test_polynomial_default_checks(self, tmp_path):
         cfg = write_config(tmp_path, {**EXP_EXP, "reward": {"kind": "poly", "gamma": 2.0}})
         out = tmp_path / "out"

@@ -19,6 +19,7 @@ from qlag import (
     check_general,
     check_polynomial,
     check_surrogate,
+    delta_star,
     optimize,
     region_scan,
     reward_exact,
@@ -143,6 +144,20 @@ class TestSurrogateConditions:
     def test_deterministic_tie_flagged(self):
         _, cond2 = check_surrogate(Deterministic(1.0), Deterministic(1.0), 1.0)
         assert "tie" in cond2.notes
+
+    def test_underflowed_mgf_product_fails_cond2(self):
+        # M_S(-1) M_D(1) = e^-999.9 rounds to 0: the true lhs exceeds 744 and
+        # the rhs is at most 1 / kappa, so cond2 fails
+        cond1, cond2 = check_surrogate(Deterministic(1000.0), Deterministic(0.1), 1.0)
+        assert cond1.rhs == 0.0 and cond1.verdict == VERDICT_FAILS
+        assert cond2.lhs == math.inf and cond2.rhs == 0.0
+        assert cond2.verdict == VERDICT_FAILS
+        assert "underflowed" in cond2.notes
+
+    def test_delta_star_of_an_underflowed_product_names_kappa(self):
+        with pytest.raises(ParameterError) as info:
+            delta_star(Deterministic(1000.0), Deterministic(0.1), 1.0)
+        assert info.value.name == "kappa"
 
 
 class TestVerifyAssumption:

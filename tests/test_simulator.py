@@ -36,6 +36,14 @@ from qlag.streams import substream
 F1 = ExponentialReward(1.0)
 
 
+class Throughput:
+    """f(t) = 1: the reward counts jobs, so it does not vanish at t = inf."""
+
+    @staticmethod
+    def eval(t):
+        return np.ones_like(t)
+
+
 class TestDeterministicTrace:
     # service 1, delay 0.5, lag 0: W = [0, 0.5, 0.5], IAT = [0, 0.5, 1.0]
     def setup_method(self):
@@ -292,9 +300,16 @@ class TestSweepLags:
         (Uniform(2.4, 2.6), Uniform(0.4, 0.6), [1.9, 2.0], ExponentialReward(280.0), 1000),
         # waiting costs all but about e^-25 of a job's reward
         (Uniform(0.9, 1.1), Uniform(0.4, 0.6), [0.0, 0.1, 0.3], ExponentialReward(50.0), 1000),
+        # the same (all but about 1.25^-120 = e^-27) for a reward that the
+        # busy-set loop takes
+        (Uniform(0.9, 1.1), Uniform(0.4, 0.6), [0.0, 0.1, 0.3], PolynomialReward(120.0), 1000),
+        # a reward that does not vanish at t = inf: the pad cells of the
+        # shorter batches must not count as jobs
+        (Exponential(1.0), Exponential(0.33), [0.0, 1.0], Throughput(), 1000),
     ], ids=["poly2", "lag-equals-x", "every-job-waits", "no-job-waits",
             "fewer-jobs-than-batches", "one-job", "kappa1-lag800", "kappa300",
-            "across-the-bound", "rewards-near-the-float-floor", "waiting-costs-nearly-all"])
+            "across-the-bound", "rewards-near-the-float-floor", "waiting-costs-nearly-all",
+            "waiting-costs-nearly-all-poly", "throughput"])
     def test_edge_cases_equal_per_lag_runs(self, service, delay, lags, f, burn_in):
         args = (service, delay, lags, f, 20_000)
         swept = sweep_lags(*args, seed=3, burn_in=burn_in)
