@@ -23,7 +23,6 @@ from .distributions import (
     Deterministic,
     DistributionSpec,
     Exponential,
-    Uniform,
     monte_carlo_draws,
     prob_diff_exceeds,
 )
@@ -65,27 +64,9 @@ def _check_positive(name: str, value: float) -> None:
         raise ParameterError(name, f"{name} must be finite and positive, got {value}")
 
 
-# The closed forms are scalar math per lag, not numpy ufuncs over the grid:
-# np.exp and math.exp can differ in the last bit.
-
-def _closed_waits(service, delay, lags) -> np.ndarray | None:
-    """E[W] at every lag in closed form, or None when the laws have none
-    (closed forms: exponential service and delay, or two point masses)."""
-    if isinstance(service, Exponential) and isinstance(delay, Exponential):
-        lam_s, lam_d = service.rate, delay.rate
-        waits = [lam_d / (lam_s + lam_d) * math.exp(-lam_s * lag) / lam_s for lag in lags]
-    elif isinstance(service, Deterministic) and isinstance(delay, Deterministic):
-        waits = [max(service.value - delay.value - lag, 0.0) for lag in lags]
-    else:
-        return None
-    return np.array(waits, dtype=float)
-
-
 def _exact_waits(service, delay, lags) -> np.ndarray:
-    """E[W] at every lag: the closed form where the laws have one, else one
-    kernel call for the whole grid."""
-    closed = _closed_waits(service, delay, lags)
-    return _numeric_waits(service, delay, lags) if closed is None else closed
+    """E[W] at every lag."""
+    return _terms(service, delay, lags)[1]
 
 
 def expected_wait(service: DistributionSpec, delay: DistributionSpec, lag: float) -> float:
@@ -200,53 +181,50 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
     return terms
 
 
-def _numeric_waits(service, delay, lags) -> np.ndarray:
-    """E[W] at every lag, from one kernel call."""
-    return _wait_terms(service, delay, lags)[1]
+def _closed_terms(service, delay, f, lags) -> np.ndarray | None:
+    """The rows of _wait_terms (the third one given f) in closed form, or
+    None when the laws have none.
 
-
-def _numeric_rewards(service, delay, f, lags) -> np.ndarray:
-    """G at every lag, from one kernel call."""
+    Two point masses have all three rows for any reward. Exponential service
+    has the first two for any delay: its overshoot past lag + D is again
+    exponential, so E[W] = P(W > 0) / rate. For an exponential reward that
+    overshoot also gives the third: W given W > 0 is distributed as S, and
+    h(w) = M_S(-kappa) e^(-kappa w), so the row is P(W > 0) M_S(-kappa)^2.
+    """
     lags = np.asarray(lags, dtype=float)
-    h = _reward_after_wait(service, f)
-    p_busy, ew, tail = _wait_terms(service, delay, lags, h)
-    numer = (1.0 - p_busy) * h(np.zeros(1)) + tail
-    return numer / (lags + delay.mean + ew)
-
-
-def _closed_rewards(service, delay, f, lags) -> np.ndarray | None:
-    """G at every lag in closed form, or None when the laws have none
-    (closed forms: two point masses with any reward, or exponential service
-    with an exponential reward and an exponential, uniform or point-mass
-    delay)."""
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
-        s, d = service.value, delay.value
-        waits = [max(s - lag - d, 0.0) for lag in lags]
-        numers = [float(f.eval(w + s)) for w in waits]
-        cycles = [lag + d + w for lag, w in zip(lags, waits)]
-    elif (
-        isinstance(f, ExponentialReward)
-        and isinstance(service, Exponential)
-        and isinstance(delay, (Exponential, Uniform, Deterministic))
-    ):
-        lam_s, kappa = service.rate, f.kappa
-        # memoryless service: the overshoot of S_prev past lag + D is again
-        # exponential, so with p = P(W > 0), E[W] = p / lam_s and
-        # M_W(-kappa) = 1 - p kappa / (lam_s + kappa)
-        ms = service.mgf(-kappa)
-        busy = [math.exp(-lam_s * lag) * delay.mgf(-lam_s) for lag in lags]
-        numers = [ms * (1.0 - p * kappa / (lam_s + kappa)) for p in busy]
-        cycles = [lag + delay.mean + p / lam_s for lag, p in zip(lags, busy)]
+        waits = np.maximum(service.value - delay.value - lags, 0.0)
+        busy = (waits > 0.0).astype(float)
+        rows = [busy, waits]
+        if f is not None:
+            rows.append(busy * f.eval(waits + service.value))
+    elif isinstance(service, Exponential) and (f is None or isinstance(f, ExponentialReward)):
+        # one scalar call per lag, so that reward_exact(lag) is the grid's entry bit for bit
+        busy = np.array([prob_diff_exceeds(service, delay, lag) for lag in lags])
+        rows = [busy, busy / service.rate]
+        if f is not None:
+            rows.append(busy * service.mgf(-f.kappa) ** 2)
     else:
         return None
-    return _per_span(np.array(numers, dtype=float), cycles)
+    return np.array(rows)
+
+
+def _terms(service, delay, lags, f=None) -> np.ndarray:
+    """The rows of _wait_terms at every lag, the third one given f: the
+    closed form where the laws have one, else one kernel call for the grid."""
+    closed = _closed_terms(service, delay, f, lags)
+    if closed is not None:
+        return closed
+    return _wait_terms(service, delay, lags, None if f is None else _reward_after_wait(service, f))
 
 
 def _exact_rewards(service, delay, f, lags) -> np.ndarray:
-    """G at every lag: the closed form where the laws have one, else one
-    kernel call for the whole grid."""
-    closed = _closed_rewards(service, delay, f, lags)
-    return _numeric_rewards(service, delay, f, lags) if closed is None else closed
+    """G at every lag from the rows of _terms: a job waits with probability
+    P(W > 0) and scores E[h(W) 1{W > 0}] then, else h(0) = E[f(S)]."""
+    lags = np.asarray(lags, dtype=float)
+    p_busy, ew, tail = _terms(service, delay, lags, f)
+    numer = (1.0 - p_busy) * _reward_after_wait(service, f)(np.zeros(1)) + tail
+    return _per_span(numer, lags + delay.mean + ew)
 
 
 def reward_exact(service: DistributionSpec, delay: DistributionSpec, f, lag: float) -> float:

@@ -93,6 +93,13 @@ def _rhs_from_tail(p: float) -> float:
     return 1.0 / root - root
 
 
+def _ratio(numer: float, denom: float, denominator: str) -> float:
+    """numer / denom, inf where only the denominator underflowed to 0."""
+    if denom == 0.0 and numer == 0.0:
+        raise ArithmeticError(f"{denominator} and the numerator both underflowed to 0")
+    return numer / denom if denom else math.inf
+
+
 def _verdict(lhs: float, rhs: float, strict: bool = False) -> str:
     if math.isnan(lhs) or math.isnan(rhs):
         return VERDICT_INDETERMINATE
@@ -135,7 +142,8 @@ def _zero_lag_report(
 ) -> ConditionReport:
     """Report lhs_of(E[D + S + 1]) <= 1/sqrt(p) - sqrt(p), p = P(S_prev - D > 0).
 
-    A failing moment evaluation in lhs_of makes the verdict indeterminate.
+    A failing moment evaluation in lhs_of makes the verdict indeterminate;
+    an lhs of inf, whose denominator underflowed, gets a note.
     """
     p = prob_diff_exceeds(service, delay, 0.0)
     mean_term = delay.mean + service.mean + 1.0
@@ -147,6 +155,8 @@ def _zero_lag_report(
             condition_id, math.nan, math.nan, VERDICT_INDETERMINATE,
             assumption_ok, f"moment evaluation failed: {exc}",
         )
+    if lhs == math.inf:
+        note = "; ".join(filter(None, ("a denominator underflowed to 0, so lhs is inf", note)))
     rhs = _rhs_from_tail(p)
     return ConditionReport(condition_id, lhs, rhs, _verdict(lhs, rhs), assumption_ok, note)
 
@@ -165,10 +175,10 @@ def check_general(
     """
     return _zero_lag_report(
         "thm1_general", service, delay, check_assumption,
-        lambda mean_term: (
-            mean_term
-            * math.sqrt(max(service.expect(lambda s: float(f.deriv(s)) ** 2), 0.0))
-            / _expect_sum_two(service, lambda t: float(f.eval(t)))
+        lambda mean_term: _ratio(
+            mean_term * math.sqrt(max(service.expect(lambda s: float(f.deriv(s)) ** 2), 0.0)),
+            _expect_sum_two(service, lambda t: float(f.eval(t))),
+            "E[f(S + S_prev)]",
         ),
     )
 
@@ -185,10 +195,13 @@ def check_exponential(
     kappa * E[D + S + 1] * sqrt(M_S(-2*kappa)) / M_S(-kappa)^2 <= 1/sqrt(p) - sqrt(p).
     """
     _check_positive("kappa", kappa)
+    # sqrt(M_S(-2 kappa)) >= M_S(-kappa) >= exp(-kappa E[S]) (Jensen), so an
+    # M_S(-kappa)^2 that underflows to 0 puts the true lhs above 1e164
     return _zero_lag_report(
         "cor1_exponential", service, delay, check_assumption,
         lambda mean_term: (
             kappa * mean_term * math.sqrt(service.mgf(-2.0 * kappa)) / service.mgf(-kappa) ** 2
+            if service.mgf(-kappa) ** 2 else math.inf
         ),
     )
 
@@ -205,15 +218,15 @@ def check_polynomial(
     gamma * E[D + S + 1] * sqrt(E[(S+1)^(-2*gamma-2)]) / E[(S + S_prev + 1)^(-gamma)]
         <= 1/sqrt(p) - sqrt(p).
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    _check_positive("gamma", gamma)
     return _zero_lag_report(
         "cor2_polynomial", service, delay, check_assumption,
-        lambda mean_term: (
+        lambda mean_term: _ratio(
             gamma
             * mean_term
-            * math.sqrt(max(service.expect(lambda s: (s + 1.0) ** (-2.0 * gamma - 2.0)), 0.0))
-            / _expect_sum_two(service, lambda t: (t + 1.0) ** (-gamma))
+            * math.sqrt(max(service.expect(lambda s: (s + 1.0) ** (-2.0 * gamma - 2.0)), 0.0)),
+            _expect_sum_two(service, lambda t: (t + 1.0) ** (-gamma)),
+            "E[(S + S_prev + 1)^(-gamma)]",
         ),
     )
 

@@ -1,9 +1,10 @@
 """Parametric laws for service and delay times.
 
 All supports live inside [0, inf): the waiting-time algebra downstream needs
-nonnegative draws. Means and MGFs are closed form; the cross-law tail
-probability P(S - D > x) carries a seeded Monte-Carlo safety net for pairs
-that adaptive integration cannot handle.
+nonnegative draws. Means and MGFs are closed form. So is the cross-law
+tail probability P(S - D > x) when either law is a point mass or the
+service is exponential; other pairs integrate it adaptively, with a seeded
+Monte-Carlo safety net for pairs that integration cannot handle.
 """
 
 from __future__ import annotations
@@ -471,9 +472,10 @@ def prob_diff_exceeds(
 ) -> float:
     """P(S - D > x) for independent S ~ service, D ~ delay and finite x >= 0.
 
-    Closed form for exponential/exponential and for any pair involving a
-    point mass; otherwise adaptive integration of the convolution tail,
-    with a seeded 1e7-sample Monte-Carlo fallback if integration fails.
+    Closed form for any pair involving a point mass, and for exponential
+    service with any delay: e^(-rate x) M_D(-rate). Otherwise adaptive
+    integration of the convolution tail, with a seeded 1e7-sample
+    Monte-Carlo fallback if integration fails.
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
@@ -484,9 +486,10 @@ def prob_diff_exceeds(
     if isinstance(service, Deterministic):
         # P(D < value - x); delay is continuous here, so ties carry no mass
         return float(delay.cdf(service.value - x))
-    if isinstance(service, Exponential) and isinstance(delay, Exponential):
-        lam_s, lam_d = service.rate, delay.rate
-        return lam_d / (lam_s + lam_d) * math.exp(-lam_s * x)
+    if isinstance(service, Exponential):
+        # memoryless service: S exceeds x + D with probability E[exp(-rate (x + D))]
+        lam = service.rate
+        return math.exp(-lam * x) * delay.mgf(-lam)
 
     lo, hi = delay.support()
     hi = min(hi, delay.upper_quantile())

@@ -87,16 +87,18 @@ class TestSpecializations:
         assert check_polynomial(EXP_S, EXP_D, 1e-9).verdict == VERDICT_HOLDS
 
 
+class GaussDecay:
+    """f(t) = exp(-t^2 / 2): a non-increasing reward with no shipped counterpart."""
+
+    def eval(self, t):
+        return np.exp(-0.5 * np.square(t))
+
+    def deriv(self, t):
+        return -t * np.exp(-0.5 * np.square(t))
+
+
 def test_general_checker_accepts_duck_typed_reward():
-    # any non-increasing reward exposing eval/deriv plugs into the general
-    # checker; here a Gaussian-decay shape with no shipped counterpart
-    class GaussDecay:
-        def eval(self, t):
-            return np.exp(-0.5 * np.square(t))
-
-        def deriv(self, t):
-            return -t * np.exp(-0.5 * np.square(t))
-
+    # any non-increasing reward exposing eval/deriv plugs into the general checker
     report = check_general(EXP_S, EXP_D, GaussDecay(), check_assumption=False)
     assert report.verdict in (VERDICT_HOLDS, VERDICT_FAILS)
     assert np.isfinite(report.lhs) and np.isfinite(report.rhs)
@@ -153,6 +155,31 @@ class TestSurrogateConditions:
         assert cond2.lhs == math.inf and cond2.rhs == 0.0
         assert cond2.verdict == VERDICT_FAILS
         assert "underflowed" in cond2.notes
+
+    def test_underflowed_service_moments_fail_cor1(self):
+        # M_S(-1)^2 = e^-2000 rounds to 0, as does the numerator's sqrt(M_S(-2)):
+        # the true lhs exceeds 1e164 against rhs = 1/sqrt(p) - sqrt(p) = 0
+        report = check_exponential(Deterministic(1000.0), Deterministic(0.1), 1.0,
+                                   check_assumption=False)
+        assert report.lhs == math.inf and report.rhs == 0.0
+        assert report.verdict == VERDICT_FAILS
+        assert "underflowed" in report.notes
+
+    def test_underflowed_theorem1_denominators(self):
+        # f(t) = exp(-t^2 / 2) at S = 20: E[f(S + S')] = e^-800 rounds to 0 over
+        # a numerator of 21.1 * 20 e^-200, so lhs is inf. With f(t) = e^-t at
+        # S = 1000, E[f'(S)^2] = e^-2000 rounds to 0 too, as does (S + 1)^-4002
+        # beside (S + S' + 1)^-2000 for gamma = 2000: each quotient is unknown,
+        # and the note names the underflow
+        report = check_general(Deterministic(20.0), Deterministic(0.1), GaussDecay(),
+                               check_assumption=False)
+        assert report.lhs == math.inf and report.verdict == VERDICT_FAILS
+        assert "underflowed" in report.notes
+        services = Deterministic(1000.0), Deterministic(0.1)
+        for report in (check_general(*services, ExponentialReward(1.0), check_assumption=False),
+                       check_polynomial(*services, 2000.0, check_assumption=False)):
+            assert report.verdict == VERDICT_INDETERMINATE
+            assert "underflowed" in report.notes and "division" not in report.notes
 
     def test_delta_star_of_an_underflowed_product_names_kappa(self):
         with pytest.raises(ParameterError) as info:

@@ -21,11 +21,12 @@ optimize(service, delay, f, objective="exact")
 
 # the benchmark's sweep process: exact optima of every default case (F1 and
 # F2 are truncated normals), a simulated sweep, and the MGF-only checkers on
-# truncated normals; the point masses keep P(S - D > 0) closed form
+# truncated normals and on exponential service; the point masses and the
+# memoryless service keep P(S - D > 0) closed form
 SWEEP_AND_TRUNCNORM_MGF = """
 import qlag, qlag.cli
-from qlag import (Deterministic, TruncatedNormal, check_exponential, check_surrogate,
-                  default_cases, optimize, region_scan)
+from qlag import (Deterministic, Exponential, TruncatedNormal, Uniform, check_exponential,
+                  check_surrogate, default_cases, optimize, region_scan)
 cases = default_cases()
 for case in cases:
     optimize(case.service, case.delay, case.reward, objective="exact")
@@ -34,6 +35,8 @@ optimize(f1.service, f1.delay, f1.reward, objective="simulated", n=10_000)
 service = TruncatedNormal(1.0, 0.5, 0.0, 2.0)
 check_exponential(service, Deterministic(0.4), 1.0, check_assumption=False)
 check_surrogate(service, Deterministic(0.4), 1.0)
+check_exponential(Exponential(1.0), Uniform(0.0, 0.66), 1.0, check_assumption=False)
+check_surrogate(Exponential(1.0), Uniform(0.0, 0.66), 1.0)
 region_scan([0.5, 1.0, 2.0], [0.2, 0.33], 1.0, "thm2_cond1", ("truncnorm", "truncnorm"))
 """
 

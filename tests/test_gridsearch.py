@@ -13,8 +13,8 @@ from qlag import (
     ExponentialReward,
     PolynomialReward,
     optimize,
+    reward_exact,
 )
-from qlag.analytics import _closed_rewards
 from qlag.gridsearch import MAX_GRID_POINTS, build_lag_grid
 from qlag.simulator import ParameterError
 
@@ -119,7 +119,7 @@ def test_exact_points_match_reward_exact():
     result = optimize(EXP_S, EXP_D, F1, objective="exact", lag_max=0.5, step=0.25)
     for p in result.points:
         assert p.reward == pytest.approx(
-            _closed_rewards(EXP_S, EXP_D, F1, [p.lag])[0], rel=1e-9
+            reward_exact(EXP_S, EXP_D, F1, p.lag), rel=1e-9
         )
         assert p.std_error == 0.0
 
