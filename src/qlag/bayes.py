@@ -15,7 +15,10 @@ reward per unit time is the renewal-reward ratio
   dN/N - dC/C. The learner starts at zero lag and, every few jobs, moves the
   lag by a step scaled to the observed mean service time, clipped at 0. The
   step, the block length and the forgetting horizon are module constants
-  shared by every law and reward.
+  shared by every law and reward. The jobs of one block all ran at one lag
+  L, and such a job waits iff X = S_prev - D > L, so each block is sorted by
+  X once, ahead of the loop: a fold then reads its sums from prefix and
+  suffix sums at one ``bisect`` of L (see ``_gradient_lags``).
 - ``"gamma"`` is the paper's conjugate rule. The lag is 1/theta for a rate
   theta with a Gamma(alpha, beta) belief. Each job draws theta, applies lag
   1/theta, observes whether the arriving job found the server idle or busy,
@@ -34,6 +37,7 @@ was called, and a fixed seed reproduces the run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,9 +45,11 @@ import numpy as np
 
 from ._fmt import write_table
 from .distributions import DistributionSpec
+from .reward import ExponentialReward
 from .simulator import (
     STATE_BUSY,
     STATE_IDLE,
+    _EXP_LAG_MAX,
     EmptyWindowError,
     ParamSchedule,
     Trajectory,
@@ -100,6 +106,7 @@ RULES = ("gradient", "gamma")
 _BLOCK = 16
 _MEMORY = 2000
 _STEP = 0.02
+_CHUNK = 256  # blocks whose fold tables are built at a time: memory stays flat in n
 
 
 @dataclass(frozen=True)
@@ -215,51 +222,162 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndar
     weight decaying by a factor rho per later job, and the lag takes one
     step. Returns the per-job lags and waits, and the lag after folding
     every job.
+
+    A fold [lo, hi) is its head job lo, which ran at the previous block's
+    lag, and its body, jobs of one block, which all ran at one lag L. Body
+    job j waits iff X_j = S_{j-1} - D_j > L. So ``_fold_tables`` sorts each
+    body by X ahead of the loop and keeps, with the fold weights w, prefix
+    sums of w, w f(S) and w D (a job that does not wait has N = f(S),
+    C = L + D and dC = 1) and suffix sums of w (X + D) (a job that waits has
+    C = X + D). One ``bisect`` of L into the sorted X then reads every sum
+    but the waiting jobs' reward. For f(t) = e^(-kappa t) with
+    kappa L <= 600 that reward is e^(kappa (L - c)) times a suffix sum of
+    w f(X + S - c), and dN = kappa N; the shift c is the body's least X + S
+    of a job with X > 0, as in ``sweep_lags`` but per body, so that no fold
+    reads a later job. Any other reward, or a larger kappa L, evaluates f
+    and f' on the waiting suffix only. The head is one scalar term. The
+    waits come from one ``wait_step`` over the run, as in
+    ``assemble_trajectory``.
+
+    These sums add in another order than a fold of each job's terms, and
+    the learner amplifies rounding: a relative 1e-12 change of one early
+    service draw moves the lag by up to about 1e-11 at job 20k and 1e-5 at
+    job 50k (exp(1) and poly(2) rewards). Two orders of the same float
+    operations, or two numpy builds, give lags that agree within a
+    tolerance, not bit for bit.
     """
     n = len(s)
     rho = 1.0 - 1.0 / _MEMORY
     weights = (1.0 - rho) * rho ** np.arange(_BLOCK, -1.0, -1.0)
-    # fold length k -> (a (5, k) row buffer, rho**k, the last k weights)
-    folds = {}
-    lags = np.empty(n)
+    blocks = (n - 1) // _BLOCK + 1
+    closed = isinstance(f, ExponentialReward)
+    if closed:
+        kappa = f.kappa
+
+        def terms(t):  # f(t) and -f'(t) at a scalar sojourn time
+            e = math.exp(-kappa * t)
+            return e, kappa * e
+    else:
+        def terms(t):
+            return float(f.eval(t)), -float(f.deriv(t))
+
+    lag_max = _EXP_LAG_MAX
+    block_lags = []
+    reward = cycle = d_reward = d_cycle = service = 0.0
+    lag = prev = 0.0  # the lags of the fold's body and of its head
+    for i0 in range(0, blocks, _CHUNK):
+        tables, scalars, xs_rows, w_rows = _fold_tables(s, d, f, rho, weights, i0,
+                                                        min(i0 + _CHUNK, blocks))
+        x, w, wf, wd, wxd, we = tables
+        for r, (ws, c, xh, xsh, wh, hf, hd, hxd, decay, norm) in enumerate(scalars):
+            block_lags.append(lag)
+            start = r * (_BLOCK + 1)
+            b = bisect_right(x, lag, start, start + _BLOCK)  # body jobs from b on wait
+            n_sum = wf[b]
+            c_sum = lag * w[b] + wd[b] + wxd[b]
+            dn_sum = 0.0
+            dc_sum = w[b]
+            if b < start + _BLOCK:
+                if closed and kappa * lag <= lag_max:
+                    n_busy = math.exp(kappa * (lag - c)) * we[b]
+                    n_sum += n_busy
+                    dn_sum = kappa * n_busy
+                else:
+                    t = xs_rows[r, b - start:] - lag
+                    w_busy = w_rows[r, b - start:]
+                    n_sum += float(f.eval(t) @ w_busy)
+                    dn_sum = -float(f.deriv(t) @ w_busy)
+            if xh > prev:
+                nh, dnh = terms(xsh - prev)
+                n_sum += wh * nh
+                dn_sum += wh * dnh
+                c_sum += hxd
+            else:
+                n_sum += hf
+                c_sum += prev * wh + hd
+                dc_sum += wh
+            reward = decay * reward + n_sum
+            cycle = decay * cycle + c_sum
+            d_reward = decay * d_reward + dn_sum
+            d_cycle = decay * d_cycle + dc_sum
+            service = decay * service + ws
+            prev = lag
+            if reward > 0 and cycle > 0:
+                scale = service / norm
+                lag = max(lag + _STEP * scale * scale * (d_reward / reward - d_cycle / cycle), 0.0)
+    lags = np.repeat(block_lags, _BLOCK)[:n]
     wait = np.zeros(n)
-    means = np.zeros(5)
-    lag = 0.0
-    folded = 0
+    wait_step(s[:-1], lags[1:], d[1:], out=wait[1:])
+    return lags, wait, lag
 
-    def step(lo: int, hi: int) -> float:
-        k = hi - lo
-        if k not in folds:
-            folds[k] = (np.empty((5, k)), rho ** k, weights[-k:])
-        obs, decay, fold_weights = folds[k]
-        w = wait[lo:hi]
-        busy = w > 0
-        sojourn = w + s[lo:hi]
-        # rows N, C, dN = -f'(W + S) 1{busy}, dC = 1{idle}, S
-        obs[0] = f.eval(sojourn)
-        np.add(lags[lo:hi], d[lo:hi], out=obs[1])
-        obs[1] += w
-        np.negative(f.deriv(sojourn), out=obs[2])
-        obs[2] *= busy
-        obs[3] = ~busy
-        obs[4] = s[lo:hi]
-        np.multiply(means, decay, out=means)
-        np.add(means, obs @ fold_weights, out=means)
-        reward, cycle, d_reward, d_cycle, service = means.tolist()
-        if reward <= 0 or cycle <= 0:
-            return lag
-        scale = service / (1.0 - rho ** hi)
-        return max(lag + _STEP * scale * scale * (d_reward / reward - d_cycle / cycle), 0.0)
 
-    for start in range(0, n, _BLOCK):
-        if start - 1 > folded:
-            lag = step(folded, start - 1)
-            folded = start - 1
-        end = min(start + _BLOCK, n)
-        lags[start:end] = lag
-        first = max(start, 1)
-        wait_step(s[first - 1:end - 1], lag, d[first:end], out=wait[first:end])
-    return lags, wait, step(folded, n)
+def _fold_tables(s, d, f, rho, weights, i0, i1):
+    """The lag-free tables of folds i0..i1-1 of ``_gradient_lags``.
+
+    Fold i is [lo, hi) with lo = max(16 i - 1, 0) and hi = 16 i + 15, or n
+    for the last fold. Its body is row i - i0 of 16 cells, block i's jobs
+    from lo + 1 to hi - 1; the other cells get weight 0 and X = -inf, so
+    they sort first and add 0. Returns:
+
+    - six memoryviews over rows of 17, each row sorted by X: X, then the
+      prefix sums (leading 0) of w, w f(S) and w D, then the suffix sums
+      (trailing 0) of w (X + D) and, for an exponential reward, of
+      w f(X + S - c);
+    - per fold, as a list: the fold's sum of w S, c, the head's X, X + S
+      and weight, its weighted f(S), D and X + D, rho^(hi - lo) and
+      1 - rho^hi;
+    - the sorted rows of X + S and of w, for the waiting suffix.
+    """
+    n = len(s)
+    rows = i1 - i0
+    j0, j1 = i0 * _BLOCK, min(i1 * _BLOCK, n)
+    last = (n - 1) // _BLOCK
+    w = np.tile(np.append(weights[2:], 0.0), rows)
+    if i1 > last:
+        tail = n - last * _BLOCK
+        start = (last - i0) * _BLOCK
+        w[start:] = 0.0
+        w[start:start + tail] = weights[_BLOCK + 1 - tail:]
+    if i0 == 0:
+        w[0] = 0.0
+    cell_s, cell_d, cell_x = np.zeros((3, rows * _BLOCK))
+    cell_s[:j1 - j0] = s[j0:j1]
+    cell_d[:j1 - j0] = d[j0:j1]
+    a = max(j0, 1)
+    np.subtract(s[a - 1:j1 - 1], d[a:j1], out=cell_x[a - j0:j1 - j0])
+    ws = np.sum((w * cell_s).reshape(rows, _BLOCK), axis=1)
+    key = np.where(w > 0, cell_x, -np.inf).reshape(rows, _BLOCK)
+    order = np.argsort(key, axis=1)
+    order += np.arange(0, order.size, _BLOCK)[:, None]  # flat indices
+
+    x = np.take(key, order)
+    w = np.take(w, order)
+    xs = np.take(cell_x + cell_s, order)
+    tab = np.zeros((6, rows, _BLOCK + 1))
+    tab[0, :, :-1] = x
+    np.cumsum(w, axis=1, out=tab[1, :, 1:])
+    np.cumsum(w * np.take(np.asarray(f.eval(cell_s), dtype=float), order), axis=1,
+              out=tab[2, :, 1:])
+    np.cumsum(w * np.take(cell_d, order), axis=1, out=tab[3, :, 1:])
+    np.cumsum((w * np.take(cell_x + cell_d, order))[:, ::-1], axis=1, out=tab[4, :, -2::-1])
+    c = np.zeros(rows)
+    if isinstance(f, ExponentialReward):
+        # f(inf) = 0 drops the jobs that never wait; c keeps f(X + S - c) from underflowing
+        xs_busy = np.where(x > 0, xs, np.inf)
+        c = xs_busy.min(axis=1)
+        c[c == np.inf] = 0.0
+        np.cumsum((w * f.eval(xs_busy - c[:, None]))[:, ::-1], axis=1, out=tab[5, :, -2::-1])
+    i = np.arange(i0, i1)
+    lo = np.maximum(i * _BLOCK - 1, 0)
+    hi = np.where(i == last, n, i * _BLOCK + _BLOCK - 1)
+    wh = weights[_BLOCK + 1 - (hi - lo)]
+    sh, dh = s[lo], d[lo]
+    xh = np.full(rows, -np.inf)  # job 0 never waits
+    np.subtract(s[lo - 1], dh, out=xh, where=lo > 0)
+    f_head = np.asarray(f.eval(sh), dtype=float)
+    scalars = np.column_stack((ws + wh * sh, c, xh, xh + sh, wh, wh * f_head, wh * dh,
+                             wh * (xh + dh), rho ** (hi - lo), 1.0 - rho ** hi))
+    return [table.data for table in tab.reshape(6, -1)], scalars.tolist(), xs, w
 
 
 def run_adaptive(

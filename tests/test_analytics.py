@@ -251,6 +251,44 @@ def test_point_mass_pairs_match_closed_form(pair, lag):
     assert numeric_wait(service, delay, lag) == pytest.approx(ew, abs=1e-9)
 
 
+def _uniform_pair_reward_by_hand(service, delay, kappa, lag):
+    """G for uniform service and delay under f(t) = e^(-kappa t): the excess
+    of S_prev over lag + y in closed form (``_uniform_excess``), averaged
+    over the delay y with 64-node Gauss-Legendre rules on the pieces between
+    the points where lag + y crosses the service's ends (the closed form
+    bends there). It agrees with a 2e6-point trapezoid over y within 1e-11."""
+    a, b = service.lower, service.upper
+    cuts = sorted({delay.lower, delay.upper,
+                   *(y for y in (a - lag, b - lag) if delay.lower < y < delay.upper)})
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    ew = mw = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        half = 0.5 * (hi - lo)
+        for node, weight in zip(nodes, weights):
+            e, m = _uniform_excess(a, b, lag + lo + half * (node + 1.0), kappa)
+            ew += weight * half * e
+            mw += weight * half * m
+    width = delay.upper - delay.lower
+    return service.mgf(-kappa) * (mw / width) / (lag + delay.mean + ew / width)
+
+
+@pytest.mark.parametrize("kappa", [30.0, 100.0, 300.0])
+def test_sharp_reward_on_uniform_laws_where_g_is_large(kappa):
+    # the kernel's stop rule settles on the right value for a sharp reward on
+    # non-exponential service wherever G is within a factor 1e6 of its largest
+    # value. Far below it the error is absolute, relative to h(0) = E[f(S)]: at
+    # kappa = 100 and lag 0 every job waits, G = M_S(-kappa)^2 M_D(kappa) / E[S]
+    # = 1.2e-66, and the grid reads 1.05e-55 = (1 - P(W > 0)) h(0), with the
+    # P(W > 0) row 2.6e-15 short of 1
+    service, delay = Uniform(0.9, 1.1), Uniform(0.3, 0.36)
+    lags = np.linspace(0.0, 3.0, 16)
+    g = _exact_rewards(service, delay, ExponentialReward(kappa), lags)
+    want = np.array([_uniform_pair_reward_by_hand(service, delay, kappa, lag) for lag in lags])
+    large = want >= 1e-6 * want.max()
+    assert large.sum() >= 13
+    np.testing.assert_allclose(g[large], want[large], rtol=1e-8, atol=0)
+
+
 class TestSurrogate:
     def test_frozen_example_values(self):
         # M_S(-1) = 0.5, M_D(1) = 1/0.67, E[W] = 100/133

@@ -11,11 +11,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
+# the gradient learner under both rewards: the exponential one reads the
+# waiting jobs' reward from suffix sums, the polynomial one evaluates f on them
 ADAPTIVE_AND_EXACT = """
 import qlag, qlag.cli
-from qlag import Exponential, ExponentialReward, Uniform, Window, optimize, run_adaptive
+from qlag import (Exponential, ExponentialReward, PolynomialReward, Uniform, Window, optimize,
+                  run_adaptive)
 service, delay, f = Exponential(1.0), Uniform(0.0, 0.66), ExponentialReward(1.0)
 run_adaptive(service, delay, None, f, n=2000, reporting=Window.last_k(500))
+run_adaptive(service, delay, None, PolynomialReward(2.0), n=2000, reporting=Window.last_k(500))
 optimize(service, delay, f, objective="exact")
 """
 
