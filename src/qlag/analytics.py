@@ -135,7 +135,7 @@ def _build_reward_after_wait(service: DistributionSpec, f):
 
 
 def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
-    """Rows P(W > 0), E[W] and, given h, E[h(W) 1{W > 0}] at every lag, for
+    """Rows P(W = 0), E[W] and, given h, E[h(W) 1{W > 0}] at every lag, for
     W = max(S_prev - lag - D, 0).
 
     One tensor Gauss-Legendre rule over (D, S_prev). The outer rule cuts
@@ -163,7 +163,7 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
             y = lag[:, None] + d
             s, ws = service.gauss_rule(order, above=y)
             excess = np.maximum(s - y[..., None], 0.0)  # zero where the weight is
-            terms[0, i:i + step] = (wd * service.sf(y)).sum(-1)
+            terms[0, i:i + step] = (wd * service.cdf(y)).sum(-1)
             terms[1, i:i + step] = (wd * (ws * excess).sum(-1)).sum(-1)
             if h is not None:
                 terms[2, i:i + step] = (wd * (ws * h(excess)).sum(-1)).sum(-1)
@@ -190,18 +190,19 @@ def _closed_terms(service, delay, f, lags) -> np.ndarray | None:
     exponential, so E[W] = P(W > 0) / rate. For an exponential reward that
     overshoot also gives the third: W given W > 0 is distributed as S, and
     h(w) = M_S(-kappa) e^(-kappa w), so the row is P(W > 0) M_S(-kappa)^2.
+    The first row is P(W = 0) = 1 - P(W > 0).
     """
     lags = np.asarray(lags, dtype=float)
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
         waits = np.maximum(service.value - delay.value - lags, 0.0)
         busy = (waits > 0.0).astype(float)
-        rows = [busy, waits]
+        rows = [1.0 - busy, waits]
         if f is not None:
             rows.append(busy * f.eval(waits + service.value))
     elif isinstance(service, Exponential) and (f is None or isinstance(f, ExponentialReward)):
         # one scalar call per lag, so that reward_exact(lag) is the grid's entry bit for bit
         busy = np.array([prob_diff_exceeds(service, delay, lag) for lag in lags])
-        rows = [busy, busy / service.rate]
+        rows = [1.0 - busy, busy / service.rate]
         if f is not None:
             rows.append(busy * service.mgf(-f.kappa) ** 2)
     else:
@@ -219,23 +220,21 @@ def _terms(service, delay, lags, f=None) -> np.ndarray:
 
 
 def _exact_rewards(service, delay, f, lags) -> np.ndarray:
-    """G at every lag from the rows of _terms: a job waits with probability
-    P(W > 0) and scores E[h(W) 1{W > 0}] then, else h(0) = E[f(S)]."""
+    """G at every lag from the rows of _terms: a job does not wait with
+    probability P(W = 0) and scores h(0) = E[f(S)] then, else E[h(W) 1{W > 0}].
+
+    P(W = 0) comes from the integrand F_S(lag + D), not as 1 - P(W > 0):
+    where nearly every job waits, that difference would cancel to rounding
+    and swamp a G far below h(0)."""
     lags = np.asarray(lags, dtype=float)
-    p_busy, ew, tail = _terms(service, delay, lags, f)
-    numer = (1.0 - p_busy) * _reward_after_wait(service, f)(np.zeros(1)) + tail
+    p_idle, ew, tail = _terms(service, delay, lags, f)
+    numer = p_idle * _reward_after_wait(service, f)(np.zeros(1)) + tail
     return _per_span(numer, lags + delay.mean + ew)
 
 
 def reward_exact(service: DistributionSpec, delay: DistributionSpec, f, lag: float) -> float:
     """G = E[f(W + S)] / (lag + E[D] + E[W]) at the given lag: the closed
     form where the laws have one, else quadrature to within 1e-9.
-
-    That 1e-9 is relative to the reward scale h(0) = E[f(S)], not to a G far
-    below its largest value. Where nearly every job waits, the quadrature's
-    P(W > 0) may miss 1 by about 1e-15, which leaves an absolute error of
-    that times h(0): on U(0.9, 1.1)/U(0.3, 0.36) with kappa = 100, G at lag 0
-    is 1.2e-66 and reads 1.05e-55.
 
     W = max(S_prev - lag - D, 0) with S_prev distributed as S and
     independent of the served job's own S.

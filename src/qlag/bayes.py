@@ -362,11 +362,14 @@ def _fold_tables(s, d, f, rho, weights, i0, i1):
     np.cumsum((w * np.take(cell_x + cell_d, order))[:, ::-1], axis=1, out=tab[4, :, -2::-1])
     c = np.zeros(rows)
     if isinstance(f, ExponentialReward):
-        # f(inf) = 0 drops the jobs that never wait; c keeps f(X + S - c) from underflowing
-        xs_busy = np.where(x > 0, xs, np.inf)
-        c = xs_busy.min(axis=1)
+        # c keeps f(X + S - c) from underflowing. No read reaches a cell with
+        # X <= 0 (a fold reads from its first X > L >= 0 on), so those cells
+        # hold 0: exp of 0 stays on numpy's fast path, where exp of -inf would not
+        busy = x > 0
+        c = np.min(xs, axis=1, where=busy, initial=np.inf)
         c[c == np.inf] = 0.0
-        np.cumsum((w * f.eval(xs_busy - c[:, None]))[:, ::-1], axis=1, out=tab[5, :, -2::-1])
+        shifted = np.where(busy, xs - c[:, None], 0.0)
+        np.cumsum((w * f.eval(shifted))[:, ::-1], axis=1, out=tab[5, :, -2::-1])
     i = np.arange(i0, i1)
     lo = np.maximum(i * _BLOCK - 1, 0)
     hi = np.where(i == last, n, i * _BLOCK + _BLOCK - 1)

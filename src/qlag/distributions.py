@@ -10,6 +10,7 @@ Monte-Carlo safety net for pairs that integration cannot handle.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -49,6 +50,12 @@ class DivergentMGFError(ValueError):
 
 def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
+
+
+def _phi(z: float) -> float:
+    """The standard normal CDF at a scalar, from the standard library: a
+    law's mass, mean and PDF then load no scipy.special."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 class DistributionSpec(ABC):
@@ -286,7 +293,8 @@ class TruncatedNormal(DistributionSpec):
             raise ValueError(f"truncation window must sit in [0, inf), got lower={self.lower}")
         if not self.upper > self.lower:
             raise ValueError(f"truncation needs upper > lower, got [{self.lower}, {self.upper}]")
-        if self._z_mass <= 0.0:
+        if not self._z_mass >= sys.float_info.min:
+            # a subnormal mass has lost digits, and the mean and PDF with it
             raise ValueError("truncation window carries no probability mass")
 
     @cached_property
@@ -302,7 +310,7 @@ class TruncatedNormal(DistributionSpec):
     @cached_property
     def _z_mass(self) -> float:
         a, b = (self._sign * z for z in self._std_bounds)
-        return self._sign * float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
+        return self._sign * (_phi(b) - _phi(a))
 
     @property
     def mean(self) -> float:

@@ -409,10 +409,12 @@ def sweep_lags(
         busy = x_rows > 0.0
         # a job that waits earns f(W + S) = e^(kappa (lag - c)) f(X + S - c);
         # the shift c keeps f(X + S - c) from underflowing where f(W + S) does
-        # not, and f(inf) = 0 keeps exp from overflowing where X <= 0
-        xs = np.add(x_rows, s_rows, out=np.full(x_rows.shape, np.inf), where=busy)
-        c = xs.min() if busy.any() else 0.0
-        xs -= c
+        # not. No suffix sum read reaches a cell with X <= 0 (every read starts
+        # at or past the first X > lag >= 0), so those cells hold 0: exp of 0
+        # stays on numpy's fast path, where exp of -inf would not
+        xs = np.add(x_rows, s_rows, out=np.zeros(x_rows.shape), where=busy)
+        c = xs.min(where=busy, initial=np.inf) if busy.any() else 0.0
+        np.subtract(xs, c, out=xs, where=busy)
         tail_e = _tail_sums(f.eval(xs), firsts[:, closed])
         del xs
         f_batch[closed] += np.exp(f.kappa * (lag[closed] - c)) * tail_e

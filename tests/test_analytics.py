@@ -276,10 +276,7 @@ def _uniform_pair_reward_by_hand(service, delay, kappa, lag):
 def test_sharp_reward_on_uniform_laws_where_g_is_large(kappa):
     # the kernel's stop rule settles on the right value for a sharp reward on
     # non-exponential service wherever G is within a factor 1e6 of its largest
-    # value. Far below it the error is absolute, relative to h(0) = E[f(S)]: at
-    # kappa = 100 and lag 0 every job waits, G = M_S(-kappa)^2 M_D(kappa) / E[S]
-    # = 1.2e-66, and the grid reads 1.05e-55 = (1 - P(W > 0)) h(0), with the
-    # P(W > 0) row 2.6e-15 short of 1
+    # value; test_tiny_g_where_every_job_waits covers the values far below it
     service, delay = Uniform(0.9, 1.1), Uniform(0.3, 0.36)
     lags = np.linspace(0.0, 3.0, 16)
     g = _exact_rewards(service, delay, ExponentialReward(kappa), lags)
@@ -287,6 +284,21 @@ def test_sharp_reward_on_uniform_laws_where_g_is_large(kappa):
     large = want >= 1e-6 * want.max()
     assert large.sum() >= 13
     np.testing.assert_allclose(g[large], want[large], rtol=1e-8, atol=0)
+
+
+def test_tiny_g_where_every_job_waits():
+    # at lag 0 every job waits (S_prev - D >= 0.54), so G = M_S(-kappa)^2
+    # M_D(kappa) / E[S] = 1.2e-66, 1e-37 of h(0) = E[f(S)]. The kernel's
+    # P(W = 0) row integrates F_S(lag + D), which is 0 there: 1 - P(W > 0)
+    # would leave rounding of about 1e-15 h(0) in G
+    service, delay, f = Uniform(0.9, 1.1), Uniform(0.3, 0.36), ExponentialReward(100.0)
+    want = service.mgf(-100.0) ** 2 * delay.mgf(100.0) / service.mean
+    assert want == pytest.approx(1.2031e-66, rel=1e-4)
+    assert reward_exact(service, delay, f, 0.0) == pytest.approx(want, rel=1e-9)
+    # and the whole grid, down to G = 1.2e-66, matches the reference
+    lags = np.linspace(0.0, 3.0, 16)
+    want = [_uniform_pair_reward_by_hand(service, delay, 100.0, lag) for lag in lags]
+    np.testing.assert_allclose(_exact_rewards(service, delay, f, lags), want, rtol=1e-8, atol=0)
 
 
 class TestSurrogate:

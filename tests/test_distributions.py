@@ -329,6 +329,49 @@ def test_truncnorm_window_above_mu_matches_scipy(mu, sigma, lower, upper):
     assert abs(draws.mean() - ref.mean()) < 4 * draws.std() / math.sqrt(len(draws))
 
 
+def _mass_windows():
+    """(mu, sigma, lower, upper) of windows at least 0.01 sigma wide below,
+    across and above mu, out to 37 sigma from it, one in ten with upper = inf,
+    then the extreme ones."""
+    rng = np.random.default_rng(25)
+    for _ in range(500):
+        za = rng.uniform(-37.0, 36.99)
+        zb = min(za + math.exp(rng.uniform(math.log(0.01), math.log(74.0))), 37.0)
+        sigma, lower = rng.uniform(0.1, 3.0), rng.uniform(0.0, 5.0)
+        mu = lower - sigma * za
+        yield mu, sigma, lower, math.inf if rng.random() < 0.1 else mu + sigma * zb
+    for za, zb in ((-37.0, -36.99), (-0.005, 0.005), (36.99, 37.0), (36.99, math.inf),
+                   (-37.0, 37.0), (-37.0, math.inf), (0.0, math.inf)):
+        yield -za, 1.0, 0.0, zb - za
+
+
+def test_truncnorm_mass_matches_scipy_ndtr():
+    # the window's mass comes from math.erfc; scipy's ndtr, differenced in
+    # the tail where it does not cancel, is the reference
+    for mu, sigma, lower, upper in _mass_windows():
+        spec = TruncatedNormal(mu, sigma, lower, upper)
+        a, b = spec._std_bounds
+        want = float(ndtr(-a) - ndtr(-b)) if a > 0 else float(ndtr(b) - ndtr(a))
+        assert spec._z_mass == pytest.approx(want, rel=1e-11, abs=0.0)
+        x = [lower, lower + 0.005 * sigma, min(upper, lower + sigma)]
+        assert lower <= spec.mean <= upper and np.isfinite(spec.pdf(x)).all()
+
+
+def test_truncnorm_far_window_is_rejected_or_keeps_its_mean():
+    # from about 37.5 sigma above mu the window's mass is subnormal and has
+    # lost digits, and the mean with it: such a window is rejected
+    accepted = 0
+    for z in np.arange(37.0, 39.0, 0.01):
+        try:
+            spec = TruncatedNormal(-z, 1.0, 0.0, 1.0)
+        except ValueError:
+            continue
+        accepted += 1
+        assert spec.mean == pytest.approx(scipy.stats.truncnorm(z, z + 1.0, loc=-z).mean(),
+                                          rel=1e-9)
+    assert 40 <= accepted <= 60
+
+
 NAN, INF = math.nan, math.inf
 
 

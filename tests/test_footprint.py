@@ -1,5 +1,6 @@
 """What a fresh process imports: the adaptive, simulated and exponential-reward
-paths load no scipy quadrature, interpolation or linear-algebra stack."""
+paths load no scipy quadrature, interpolation or linear-algebra stack, and
+the adaptive process loads no scipy.special either."""
 
 import json
 import os
@@ -44,6 +45,29 @@ check_surrogate(Exponential(1.0), Uniform(0.0, 0.66), 1.0)
 region_scan([0.5, 1.0, 2.0], [0.2, 0.33], 1.0, "thm2_cond1", ("truncnorm", "truncnorm"))
 """
 
+# the benchmark's adaptive process: it builds every default case (E and F are
+# truncated normals) but evaluates only A1-D2; building a truncated normal,
+# from a class or a config literal, and taking its mean and PDF need no
+# normal CDF from scipy.special
+ADAPTIVE_PROCESS = """
+import qlag, qlag.cli
+from qlag import ExponentialReward, TruncatedNormal, Window, default_cases, optimize, run_adaptive
+from qlag.config import parse_distribution
+f = ExponentialReward(1.0)
+cases = [case for case in default_cases() if case.id[0] in "ABCD"]
+for case in cases:
+    optimize(case.service, case.delay, f, objective="exact")
+law = parse_distribution({"kind": "truncnorm", "mu": 1, "sigma": 0.5, "lower": 0, "upper": 2})
+law.mean, law.pdf(0.5), TruncatedNormal(-3.0, 0.5, 0.0, float("inf")).pdf([1.0, 2.0])
+run_adaptive(cases[0].service, cases[0].delay, None, f, n=2000, reporting=Window.last_k(500))
+"""
+
+TRUNCNORM_DRAW = """
+import numpy as np
+from qlag import TruncatedNormal
+TruncatedNormal(1.0, 0.5, 0.0, 2.0).sample(np.random.default_rng(0))
+"""
+
 NUMERIC_TRUNCNORM = """
 from qlag import PolynomialReward, TruncatedNormal, reward_exact
 reward_exact(TruncatedNormal(1.0, 0.5, 0.0, 2.0), TruncatedNormal(0.33, 0.165, 0.0, 0.66),
@@ -51,11 +75,11 @@ reward_exact(TruncatedNormal(1.0, 0.5, 0.0, 2.0), TruncatedNormal(0.33, 0.165, 0
 """
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The HEAVY modules in sys.modules once code has run in a new interpreter."""
+def _loaded_after(code: str, watched=HEAVY) -> set[str]:
+    """The watched modules in sys.modules once code has run in a new interpreter."""
     probe = code + (
         "\nimport json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
@@ -75,3 +99,12 @@ def test_sweep_and_truncnorm_mgf_paths_load_no_heavy_scipy():
 def test_numeric_reward_loads_quadrature_or_spline():
     # positive control: the probe sees a submodule that a numeric path does load
     assert _loaded_after(NUMERIC_TRUNCNORM) & {"scipy.integrate", "scipy.interpolate"}
+
+
+def test_adaptive_process_loads_no_scipy_special():
+    assert _loaded_after(ADAPTIVE_PROCESS, HEAVY + ("scipy.special",)) == set()
+
+
+def test_truncnorm_draw_loads_scipy_special():
+    # positive control: a truncated-normal draw inverts the normal CDF with scipy.special
+    assert _loaded_after(TRUNCNORM_DRAW, ("scipy.special",)) == {"scipy.special"}
