@@ -150,8 +150,8 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
     lags = np.asarray(lags, dtype=float)
     s_lo, s_hi = service.support()
     s_hi = min(s_hi, service.upper_quantile(RULE_TAIL_EPS))
-    previous = None
-    for order in _ORDERS:
+
+    def terms_at(order):
         terms = np.empty((2 if h is None else 3, len(lags)))
         # (outer nodes x inner nodes) per lag, from the rules' sizes at one lag
         per_lag = (delay.gauss_rule(order, breaks=(s_lo, s_hi))[0].shape[-1]
@@ -167,18 +167,30 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
             terms[1, i:i + step] = (wd * (ws * excess).sum(-1)).sum(-1)
             if h is not None:
                 terms[2, i:i + step] = (wd * (ws * h(excess)).sum(-1)).sum(-1)
+        return terms
+
+    return _settled(terms_at)
+
+
+def _settled(value_at):
+    """value_at(order) at the orders of _ORDERS in turn, until two successive
+    orders agree within _TOL (relative above 1); past the last order, that
+    order's value with an IntegrationWarning."""
+    previous = None
+    for order in _ORDERS:
+        value = value_at(order)
         if previous is not None and np.all(
-            np.abs(terms - previous) <= _TOL * np.maximum(1.0, np.abs(terms))
+            np.abs(value - previous) <= _TOL * np.maximum(1.0, np.abs(value))
         ):
-            return terms
-        previous = terms
+            return value
+        previous = value
     warnings.warn(
         f"the Gauss-Legendre rule has not settled within {_TOL:g} by order "
         f"{_ORDERS[-1]}; returning that order's value",
         scipy.integrate.IntegrationWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
-    return terms
+    return value
 
 
 def _closed_terms(service, delay, f, lags) -> np.ndarray | None:

@@ -49,12 +49,16 @@ from .reward import ExponentialReward
 from .simulator import (
     STATE_BUSY,
     STATE_IDLE,
-    _EXP_LAG_MAX,
     EmptyWindowError,
     ParamSchedule,
     Trajectory,
     Window,
+    _closed_lag_max,
     _draw,
+    _exp_shift,
+    _prefix_sums,
+    _sort_by_x,
+    _suffix_sums,
     _trajectory,
     estimate_reward,
     state_from_wait,
@@ -224,20 +228,14 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndar
     every job.
 
     A fold [lo, hi) is its head job lo, which ran at the previous block's
-    lag, and its body, jobs of one block, which all ran at one lag L. Body
-    job j waits iff X_j = S_{j-1} - D_j > L. So ``_fold_tables`` sorts each
-    body by X ahead of the loop and keeps, with the fold weights w, prefix
-    sums of w, w f(S) and w D (a job that does not wait has N = f(S),
-    C = L + D and dC = 1) and suffix sums of w (X + D) (a job that waits has
-    C = X + D). One ``bisect`` of L into the sorted X then reads every sum
-    but the waiting jobs' reward. For f(t) = e^(-kappa t) with
-    kappa L <= 600 that reward is e^(kappa (L - c)) times a suffix sum of
-    w f(X + S - c), and dN = kappa N; the shift c is the body's least X + S
-    of a job with X > 0, as in ``sweep_lags`` but per body, so that no fold
-    reads a later job. Any other reward, or a larger kappa L, evaluates f
-    and f' on the waiting suffix only. The head is one scalar term. The
-    waits come from one ``wait_step`` over the run, as in
-    ``assemble_trajectory``.
+    lag, and its body, jobs of one block, which all ran at one lag L.
+    ``_fold_tables`` lays each body out as a sorted sample-path row of
+    ``simulator`` with the fold weights w, so that one ``bisect`` of L reads
+    every sum: a job that does not wait has N = f(S), C = L + D and dC = 1,
+    one that waits has C = X + D, and in the exponential branch dN = kappa N.
+    Past that branch f and f' are evaluated on the waiting suffix only. The
+    head is one scalar term. The waits come from one ``wait_step`` over the
+    run, as in ``assemble_trajectory``.
 
     These sums add in another order than a fold of each job's terms, and
     the learner amplifies rounding: a relative 1e-12 change of one early
@@ -250,8 +248,7 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndar
     rho = 1.0 - 1.0 / _MEMORY
     weights = (1.0 - rho) * rho ** np.arange(_BLOCK, -1.0, -1.0)
     blocks = (n - 1) // _BLOCK + 1
-    closed = isinstance(f, ExponentialReward)
-    if closed:
+    if isinstance(f, ExponentialReward):
         kappa = f.kappa
 
         def terms(t):  # f(t) and -f'(t) at a scalar sojourn time
@@ -261,7 +258,7 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndar
         def terms(t):
             return float(f.eval(t)), -float(f.deriv(t))
 
-    lag_max = _EXP_LAG_MAX
+    lag_max = _closed_lag_max(f)
     block_lags = []
     reward = cycle = d_reward = d_cycle = service = 0.0
     lag = prev = 0.0  # the lags of the fold's body and of its head
@@ -278,7 +275,7 @@ def _gradient_lags(s: np.ndarray, d: np.ndarray, f) -> tuple[np.ndarray, np.ndar
             dn_sum = 0.0
             dc_sum = w[b]
             if b < start + _BLOCK:
-                if closed and kappa * lag <= lag_max:
+                if lag <= lag_max:
                     n_busy = math.exp(kappa * (lag - c)) * we[b]
                     n_sum += n_busy
                     dn_sum = kappa * n_busy
@@ -316,13 +313,11 @@ def _fold_tables(s, d, f, rho, weights, i0, i1):
 
     Fold i is [lo, hi) with lo = max(16 i - 1, 0) and hi = 16 i + 15, or n
     for the last fold. Its body is row i - i0 of 16 cells, block i's jobs
-    from lo + 1 to hi - 1; the other cells get weight 0 and X = -inf, so
-    they sort first and add 0. Returns:
+    from lo + 1 to hi - 1; the other cells get weight 0 and X = -inf. Returns:
 
     - six memoryviews over rows of 17, each row sorted by X: X, then the
-      prefix sums (leading 0) of w, w f(S) and w D, then the suffix sums
-      (trailing 0) of w (X + D) and, for an exponential reward, of
-      w f(X + S - c);
+      prefix sums of w, w f(S) and w D, then the suffix sums of w (X + D)
+      and, for an exponential reward, of w f(X + S - c);
     - per fold, as a list: the fold's sum of w S, c, the head's X, X + S
       and weight, its weighted f(S), D and X + D, rho^(hi - lo) and
       1 - rho^hi;
@@ -346,30 +341,20 @@ def _fold_tables(s, d, f, rho, weights, i0, i1):
     a = max(j0, 1)
     np.subtract(s[a - 1:j1 - 1], d[a:j1], out=cell_x[a - j0:j1 - j0])
     ws = np.sum((w * cell_s).reshape(rows, _BLOCK), axis=1)
-    key = np.where(w > 0, cell_x, -np.inf).reshape(rows, _BLOCK)
-    order = np.argsort(key, axis=1)
-    order += np.arange(0, order.size, _BLOCK)[:, None]  # flat indices
-
-    x = np.take(key, order)
-    w = np.take(w, order)
-    xs = np.take(cell_x + cell_s, order)
+    x, w, xs, wf, wd, wxd = (np.reshape(row, (rows, _BLOCK)) for row in (
+        np.where(w > 0, cell_x, -np.inf), w, cell_x + cell_s,
+        w * np.asarray(f.eval(cell_s), dtype=float), w * cell_d, w * (cell_x + cell_d)))
+    _sort_by_x(x, w, xs, wf, wd, wxd)
     tab = np.zeros((6, rows, _BLOCK + 1))
     tab[0, :, :-1] = x
-    np.cumsum(w, axis=1, out=tab[1, :, 1:])
-    np.cumsum(w * np.take(np.asarray(f.eval(cell_s), dtype=float), order), axis=1,
-              out=tab[2, :, 1:])
-    np.cumsum(w * np.take(cell_d, order), axis=1, out=tab[3, :, 1:])
-    np.cumsum((w * np.take(cell_x + cell_d, order))[:, ::-1], axis=1, out=tab[4, :, -2::-1])
+    _prefix_sums(w, out=tab[1])
+    _prefix_sums(wf, out=tab[2])
+    _prefix_sums(wd, out=tab[3])
+    _suffix_sums(wxd, out=tab[4])
     c = np.zeros(rows)
-    if isinstance(f, ExponentialReward):
-        # c keeps f(X + S - c) from underflowing. No read reaches a cell with
-        # X <= 0 (a fold reads from its first X > L >= 0 on), so those cells
-        # hold 0: exp of 0 stays on numpy's fast path, where exp of -inf would not
-        busy = x > 0
-        c = np.min(xs, axis=1, where=busy, initial=np.inf)
-        c[c == np.inf] = 0.0
-        shifted = np.where(busy, xs - c[:, None], 0.0)
-        np.cumsum((w * f.eval(shifted))[:, ::-1], axis=1, out=tab[5, :, -2::-1])
+    if _closed_lag_max(f) >= 0.0:
+        c, shifted = _exp_shift(x, xs)
+        _suffix_sums(w * f.eval(shifted), out=tab[5])
     i = np.arange(i0, i1)
     lo = np.maximum(i * _BLOCK - 1, 0)
     hi = np.where(i == last, n, i * _BLOCK + _BLOCK - 1)

@@ -50,8 +50,8 @@ STATE_BUSY = "busy"
 
 DEFAULT_BURN_IN = 1000
 _BATCHES = 32  # contiguous batches behind a batch-means standard error
-# largest kappa * lag the exponential sweep takes in closed form: its factor
-# e^(kappa lag) stays far inside the float range (e^710 overflows)
+# largest kappa * lag the exponential branch of the sorted rows takes: its
+# factor e^(kappa lag) stays far inside the float range (e^710 overflows)
 _EXP_LAG_MAX = 600.0
 
 
@@ -334,27 +334,17 @@ def sweep_lags(
     the service and delay streams are drawn once and shared by every lag
     (common random numbers).
 
-    Job j waits W_j = max(X_j - lag, 0) with X_j = S_{j-1} - D_j, which no lag
-    changes. Set-up lays the window's jobs out in the rows of the 32 batches
-    and sorts each row by X, so at each lag the jobs that wait are those from
-    the lag's ``searchsorted`` column on, and the others do not wait. The
-    batch spans and the reward of the jobs that do not wait are then read for
-    all lags at once, each in one gather, from suffix sums of X and prefix
-    sums of f(S):
+    The window's jobs are laid out in the rows of the 32 batches, each row
+    sorted by X (the sorted sample-path layer below), and every sum is read
+    for all lags in one ``searchsorted`` gather. The batch span is
     A_B = sum D + lag N_B + sum W - W(last job of B) + W(job before B), as the
-    inter-arrival time of job j carries the wait of job j - 1, with sum W the
-    sum of X from the column on less lag times the jobs there.
-
-    Only the reward of the jobs that wait is left, and two branches add it.
-    For an exponential reward f(t) = e^(-kappa t), a job that waits earns
-    f(W + S) = e^(kappa lag) f(X + S), so each lag with kappa lag <= 600 adds
-    e^(kappa lag) times a suffix sum of f(X + S), read in the same gather,
-    with no reward work per lag. Those sums are scaled by e^(kappa c), c the
-    least X + S of a job with X > 0, so that they do not underflow. Every
-    other lag, and every lag of another reward, runs the busy-set loop: it
-    evaluates f(W + S) on the jobs that wait (``wait_step`` gives the waits),
-    so its work scales with their number. Memory stays a few n-job arrays
-    whatever the number of lags.
+    inter-arrival time of job j carries the wait of job j - 1, with sum W a
+    suffix sum of X less lag times the jobs that wait. The jobs that do not
+    wait earn prefix sums of f(S). In the exponential branch the jobs that
+    wait earn the shifted suffix sums, with no reward work per lag; every
+    other lag runs the busy-set loop, which evaluates f(X + S - lag) on the
+    jobs that wait only. Memory stays a few n-job arrays whatever the number
+    of lags.
     """
     for lag in lags:
         _check_lag(lag)
@@ -378,22 +368,19 @@ def sweep_lags(
         counts[0] -= 1
         d[0] = 0.0
     d_sums = _batch_sums(d[burn_in:], b)
-    s_rows = _batch_rows(s[burn_in:], b, np.inf)
-    x_rows = _batch_rows(x[1:], b, -np.inf)  # a pad cell never waits
-    del s, d, x  # no lag needs the draws again: free them before the sort
-    f_rows = np.asarray(f.eval(s_rows), dtype=float)
-    f_rows[longer:, -1] = 0.0  # the pad cells, which are no jobs
-    order = np.argsort(x_rows, axis=1)
-    order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
-    x_rows = np.take(x_rows, order)
-    s_rows = np.take(s_rows, order)
-    f_rows = np.take(f_rows, order)
-    del order
+    s = s[burn_in:]
+    # a pad cell never waits and earns nothing: it is no job
+    x_rows = _batch_rows(x[1:], b, -np.inf)
+    xs_rows = _batch_rows(np.add(x[1:], s, out=x[1:]), b, -np.inf)
+    del d, x  # no lag reads them again: free them before the sort
+    f_rows = _batch_rows(np.asarray(f.eval(s), dtype=float), b, 0.0)
+    del s
+    _sort_by_x(x_rows, xs_rows, f_rows)
     lags = np.asarray(lags, dtype=float)
     lag = lags[:, None]
     # per row and lag, the column of the first job that waits: every job past it waits
     firsts = np.array([np.searchsorted(row, lags, side="right") for row in x_rows])
-    tail_x = _tail_sums(x_rows, firsts)
+    tail_x = np.take_along_axis(_suffix_sums(x_rows), firsts, axis=1).T
     busy_count = x_rows.shape[1] - firsts.T
     edge = wait_step(x_edge, lag, 0.0)
     spans = (d_sums + lag * counts + (tail_x - lag * busy_count)
@@ -401,27 +388,19 @@ def sweep_lags(
     # the reward of the jobs that do not wait, summed directly: a lag-free sum
     # less the waiting jobs' f(S) would cancel where waiting costs nearly all
     # of a job's reward. Each branch below adds the reward of the jobs that wait.
-    f_batch = _head_sums(f_rows, firsts)
-    closed = np.zeros(len(lags), dtype=bool)
-    if isinstance(f, ExponentialReward):
-        closed = f.kappa * lags <= _EXP_LAG_MAX
+    f_batch = np.take_along_axis(_prefix_sums(f_rows), firsts, axis=1).T
+    del f_rows
+    closed = lags <= _closed_lag_max(f)
     if closed.any():
-        busy = x_rows > 0.0
-        # a job that waits earns f(W + S) = e^(kappa (lag - c)) f(X + S - c);
-        # the shift c keeps f(X + S - c) from underflowing where f(W + S) does
-        # not. No suffix sum read reaches a cell with X <= 0 (every read starts
-        # at or past the first X > lag >= 0), so those cells hold 0: exp of 0
-        # stays on numpy's fast path, where exp of -inf would not
-        xs = np.add(x_rows, s_rows, out=np.zeros(x_rows.shape), where=busy)
-        c = xs.min(where=busy, initial=np.inf) if busy.any() else 0.0
-        np.subtract(xs, c, out=xs, where=busy)
-        tail_e = _tail_sums(f.eval(xs), firsts[:, closed])
-        del xs
+        c, shifted = _exp_shift(x_rows, xs_rows)
+        tail_e = np.take_along_axis(_suffix_sums(f.eval(shifted)), firsts[:, closed], axis=1).T
+        del shifted
         f_batch[closed] += np.exp(f.kappa * (lag[closed] - c)) * tail_e
     for i in np.flatnonzero(~closed):
         start = firsts[:, i].min()
-        wait = wait_step(x_rows[:, start:], lags[i], 0.0)
-        f_batch[i] += np.sum(f.eval(wait + s_rows[:, start:]), axis=1, where=wait > 0)
+        waits = x_rows[:, start:] > lags[i]
+        t = np.subtract(xs_rows[:, start:], lags[i], out=np.zeros(waits.shape), where=waits)
+        f_batch[i] += np.sum(f.eval(t), axis=1, where=waits)
     ses = _batch_se(f_batch, spans)
     return [(_ratio(fb, sp), float(se)) for fb, sp, se in zip(f_batch, spans, ses)]
 
@@ -518,19 +497,55 @@ def _batch_rows(x: np.ndarray, b: int, pad: float) -> np.ndarray:
     return rows
 
 
-def _head_sums(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """For each column of ``cols`` (rows x k), the sums of each row's cells
-    left of it, as a (k x rows) array: prefix sums read in one gather."""
-    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.cumsum(rows, axis=1, out=sums[:, 1:])
-    return np.take_along_axis(sums, cols, axis=1).T
+# The sorted sample-path layer of ``sweep_lags`` and the gradient learner.
+# Job j waits W_j = max(X_j - L, 0) with X_j = S_{j-1} - D_j fixed across
+# lags, so in a row sorted by X the jobs that wait at lag L are those from the
+# first column with X > L on: prefix sums read there sum the jobs that do not
+# wait, suffix sums the jobs that wait. A cell with X = -inf (no job before
+# it, or no job) sorts first and never waits. For f(t) = e^(-kappa t) a job
+# that waits earns f(W + S) = e^(kappa (L - c)) f(X + S - c); past
+# _closed_lag_max(f) a reader evaluates f(X + S - L) on the waiting jobs.
 
 
-def _tail_sums(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """For each column of ``cols`` (rows x k), the sums of each row's cells
-    from that column on, as a (k x rows) array: suffix sums with a trailing 0
-    column, read in one gather."""
-    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    sums[:, :-1] = rows
-    np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
-    return np.take_along_axis(sums, cols, axis=1).T
+def _sort_by_x(x: np.ndarray, *rows: np.ndarray) -> None:
+    """Sort each row of the 2-D array x in place, and permute ``rows`` alike."""
+    order = np.argsort(x, axis=1)
+    order += np.arange(0, order.size, order.shape[1])[:, None]  # flat indices
+    for a in (x, *rows):
+        a[...] = np.take(a, order)
+
+
+def _prefix_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column k holds the sum of each row's cells left of column k: one more
+    column than ``rows``, the first 0. Written into ``out`` when given."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 1)) if out is None else out
+    out[:, 0] = 0.0
+    np.cumsum(rows, axis=1, out=out[:, 1:])
+    return out
+
+
+def _suffix_sums(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column k holds the sum of each row's cells from column k on: one more
+    column than ``rows``, the last 0. Written into ``out`` when given."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 1)) if out is None else out
+    out[:, -1] = 0.0
+    np.cumsum(rows[:, ::-1], axis=1, out=out[:, -2::-1])
+    return out
+
+
+def _exp_shift(x: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the shift c, the least X + S of a job with X > 0 (0 in a row
+    with none), which keeps f(X + S - c) from underflowing where f(W + S)
+    does not, and the shifted row: X + S - c at those jobs, 0 at the others,
+    which no read reaches (exp of 0 stays on numpy's fast path, of -inf not)."""
+    busy = x > 0.0
+    c = np.min(xs, axis=1, where=busy, initial=np.inf)
+    c[c == np.inf] = 0.0
+    shifted = xs - c[:, None]
+    np.putmask(shifted, ~busy, 0.0)
+    return c, shifted
+
+
+def _closed_lag_max(f) -> float:
+    """The largest lag of the exponential branch; -inf, so none, for another reward."""
+    return _EXP_LAG_MAX / f.kappa if isinstance(f, ExponentialReward) else -math.inf

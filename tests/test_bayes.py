@@ -406,7 +406,7 @@ class TestGradientOracle:
         # with the bound lowered, kappa L crosses it partway through the run:
         # the early folds read the waiting jobs' reward from the suffix sums of
         # f(X + S - c), the later ones evaluate f on the waiting suffix
-        monkeypatch.setattr(bayes, "_EXP_LAG_MAX", 0.2)
+        monkeypatch.setattr(simulator, "_EXP_LAG_MAX", 0.2)
         service, delay = self.CASES["A"]
         for seed in (1, 2):
             got = self._assert_matches_reference(monkeypatch, service, delay, None, F1,

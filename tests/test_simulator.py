@@ -349,17 +349,19 @@ class TestSweepLags:
         assert sum(elements) <= 2 * (n + simulator._BATCHES)
 
     def test_sweep_memory_is_bounded(self):
-        # the default 61-lag grid at n = 1e5: a few n-job arrays, about 5 MB
+        # the default 61-lag grid at n = 1e5: a few n-job arrays, about 4 MB,
+        # for the exponential branch (case A1's reward) and the busy-set loop
         case = default_cases()[0]
-        tracemalloc.start()
-        try:
-            grid = optimize(case.service, case.delay, case.reward, objective="simulated",
-                            n=100_000, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(grid.points) == 61
-        assert peak < 8 * 2**20
+        for f in (case.reward, PolynomialReward(2.0)):
+            tracemalloc.start()
+            try:
+                grid = optimize(case.service, case.delay, f, objective="simulated",
+                                n=100_000, seed=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(grid.points) == 61
+            assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("step", [1.5, 0.05])
     def test_optimize_draws_each_stream_once(self, monkeypatch, step):
@@ -389,6 +391,81 @@ class TestSweepLags:
             sweep_lags(Exponential(1.0), Exponential(0.33), args["lags"], F1, args["n"],
                        burn_in=args["burn_in"])
         assert info.value.name == name
+
+
+class TestSortedRows:
+    """The sorted sample-path layer against per-job brute force. Rows of
+    weighted jobs are sorted by X with ``_sort_by_x`` and read at lag L the
+    way both callers read them, at the first column with X > L; the reward
+    N = sum w f(W + S) and the cycle C = sum w (L + D + W), W = max(X - L, 0),
+    must match the per-job sums within a relative 1e-12. Each lag is read by
+    both readers of the waiting jobs' reward: the shifted suffix sums where
+    L <= _closed_lag_max(f), and f(X + S - L) on the waiting jobs always."""
+
+    LAGS = [0.0, 0.5, 1.0, 1.7, 2.0, 2.0 + 1e-12, 2.6, 3.2]
+
+    @staticmethod
+    def jobs():
+        rng = np.random.default_rng(11)
+        shape = (6, 41)
+        x = rng.uniform(-1.0, 3.5, shape)
+        s = rng.exponential(0.5, shape)
+        d = rng.uniform(0.0, 0.7, shape)
+        w = rng.uniform(0.0, 1.0, shape)
+        w[:, ::7] = 0.0  # cells that are no job, as the learner's fold pads are
+        x[:, 2::5] = -np.inf  # jobs with no job before them, as job 0 is
+        x[1, 4:9] = 0.5  # ties at X == L for L = 0.5: those jobs do not wait
+        x[3, 10:13] = 2.0  # and for L = 2
+        x[2] = -np.abs(x[2])  # no job with X > 0, so c = 0
+        return x, s, d, w
+
+    @staticmethod
+    def brute_force(x, s, d, w, f, lag):
+        wait = np.maximum(x - lag, 0.0)
+        n = np.sum(w * f.eval(wait + s), axis=1)
+        c = np.sum(w * (lag + d + wait), axis=1)
+        return n, c
+
+    @pytest.mark.parametrize("f", [ExponentialReward(1.0), ExponentialReward(300.0),
+                                   PolynomialReward(2.0)], ids=["exp1", "exp300", "poly2"])
+    def test_reads_match_per_job_sums(self, f):
+        x, s, d, w = self.jobs()
+        # no suffix sum is read at a cell with X = -inf; there X + D is taken
+        # as D, as the learner's fold pads are, so that a 0 weight gives 0
+        xd = np.where(np.isfinite(x), x, 0.0) + d
+        key, w_, xs, fs, d_ = (a.copy() for a in (x, w, x + s, f.eval(s), d))
+        simulator._sort_by_x(key, w_, xs, fs, d_, xd)
+        assert np.all(key[:, 1:] >= key[:, :-1])
+        w_pre = simulator._prefix_sums(w_)
+        wf_pre = simulator._prefix_sums(w_ * fs)
+        wd_pre = simulator._prefix_sums(w_ * d_)
+        wxd_suf = simulator._suffix_sums(w_ * xd)
+        c, shifted = simulator._exp_shift(key, xs)
+        assert c[2] == 0.0 and np.all(shifted[2] == 0.0)
+        lag_max = simulator._closed_lag_max(f)
+        if isinstance(f, ExponentialReward):
+            assert lag_max == simulator._EXP_LAG_MAX / f.kappa
+            we_suf = simulator._suffix_sums(w_ * f.eval(shifted))
+        else:
+            assert lag_max == -math.inf
+        closed_reads = 0
+        for lag in self.LAGS:
+            want_n, want_c = self.brute_force(x, s, d, w, f, lag)
+            for r in range(len(key)):
+                b = np.searchsorted(key[r], lag, side="right")
+                assert np.all(key[r, b:] > lag) and np.all(key[r, :b] <= lag)
+                got_c = lag * w_pre[r, b] + wd_pre[r, b] + wxd_suf[r, b]
+                busy = np.sum(w_[r, b:] * f.eval(xs[r, b:] - lag))
+                readers = [busy]
+                if lag <= lag_max:
+                    readers.append(math.exp(f.kappa * (lag - c[r])) * we_suf[r, b])
+                    closed_reads += 1
+                for got_busy in readers:
+                    assert wf_pre[r, b] + got_busy == pytest.approx(want_n[r], rel=1e-12, abs=0)
+                assert got_c == pytest.approx(want_c[r], rel=1e-12, abs=0)
+        if isinstance(f, ExponentialReward):
+            assert closed_reads > 0
+            assert (closed_reads < len(self.LAGS) * len(key)) == (f.kappa == 300.0)
 
 
 class TestSchedules:
