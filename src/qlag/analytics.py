@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy
@@ -47,7 +46,6 @@ class KinkWarning(UserWarning):
 
 _ORDERS = (16, 24, 32, 48, 64, 96, 128)  # Gauss-Legendre orders per axis, tried in turn
 _TOL = 1e-9       # two successive orders agree within this, relative above 1
-_H_ORDER = 64     # service nodes behind the h(w) table
 # elements in the kernel's largest temporary arrays: 64 KB blocks keep an
 # exact grid from raising the peak resident memory of a simulation run
 _BLOCK = 1 << 13
@@ -66,7 +64,7 @@ def _check_positive(name: str, value: float) -> None:
 
 def _exact_waits(service, delay, lags) -> np.ndarray:
     """E[W] at every lag."""
-    return _terms(service, delay, lags)[1]
+    return _terms(service, delay, lags)[0]
 
 
 def expected_wait(service: DistributionSpec, delay: DistributionSpec, lag: float) -> float:
@@ -95,23 +93,11 @@ def _reward_after_wait(service: DistributionSpec, f):
 
     Exact for the exponential family (h factorizes through the MGF) and for
     a point-mass service; otherwise tabulated by Gauss-Legendre quadrature
-    over S with cubic interpolation in w: 2048 knots up to the service's
-    0.999 quantile, where h bends most, and 256 more up to its
-    1 - RULE_TAIL_EPS quantile, the largest wait the kernel asks for: it
-    cuts S_prev there, and lag + D >= 0.
+    over S, its order settled as the kernel's is, with cubic interpolation
+    in w: 2048 knots up to the service's 0.999 quantile, where h bends most,
+    and 256 more up to its 1 - RULE_TAIL_EPS quantile, the largest wait the
+    kernel asks for: it cuts S_prev there, and lag + D >= 0.
     """
-    try:
-        return _reward_after_wait_cached(service, f)
-    except TypeError:  # duck-typed unhashable reward objects skip the cache
-        return _build_reward_after_wait(service, f)
-
-
-@lru_cache(maxsize=64)
-def _reward_after_wait_cached(service: DistributionSpec, f):
-    return _build_reward_after_wait(service, f)
-
-
-def _build_reward_after_wait(service: DistributionSpec, f):
     if isinstance(f, ExponentialReward):
         ms = service.mgf(-f.kappa)
         return lambda w: ms * f.eval(w)
@@ -119,40 +105,44 @@ def _build_reward_after_wait(service: DistributionSpec, f):
         value = service.value
         return lambda w: f.eval(w + value)
 
-    s_nodes, s_weights = service.gauss_rule(_H_ORDER)
-    rows = _BLOCK // _H_ORDER
-
-    def quad_h(w: np.ndarray) -> np.ndarray:
-        out = np.empty(len(w))
-        for i in range(0, len(w), rows):  # one (rows x nodes) block at a time
-            out[i:i + rows] = (f.eval(w[i:i + rows, None] + s_nodes) * s_weights).sum(axis=1)
-        return out
-
     w_mid = service.ppf(0.999)
     w_max = service.upper_quantile(RULE_TAIL_EPS)
     w_grid = np.concatenate((np.linspace(0.0, w_mid, 2048), np.linspace(w_mid, w_max, 257)[1:]))
-    return scipy.interpolate.CubicSpline(w_grid, quad_h(w_grid))
+
+    def h_at(order):
+        s_nodes, s_weights = service.gauss_rule(order)
+        rows = _BLOCK // len(s_nodes)
+        out = np.empty(len(w_grid))
+        for i in range(0, len(w_grid), rows):  # one (rows x nodes) block at a time
+            out[i:i + rows] = (f.eval(w_grid[i:i + rows, None] + s_nodes) * s_weights).sum(axis=1)
+        return out
+
+    return scipy.interpolate.CubicSpline(w_grid, _settled(h_at))
 
 
 def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
-    """Rows P(W = 0), E[W] and, given h, E[h(W) 1{W > 0}] at every lag, for
+    """Rows E[W] and, given h, E[h(W)] at every lag, for
     W = max(S_prev - lag - D, 0).
 
     One tensor Gauss-Legendre rule over (D, S_prev). The outer rule cuts
     D's support where lag + D crosses the ends of S_prev's support (the
     inner integrals have kinks there); the inner rule runs over S_prev
-    above lag + D, so every integrand is smooth on its piece. The order
-    steps through _ORDERS until two successive orders agree within _TOL
-    (relative above 1); past the last order the result is returned with an
-    IntegrationWarning. Lags go through in blocks that keep every
-    temporary array near _BLOCK elements.
+    above lag + D, so every integrand is smooth on its piece, and the jobs
+    that do not wait add F_S(lag + D) h(0) to the outer integrand: P(W = 0)
+    is never taken as 1 - P(W > 0), a difference that would cancel to
+    rounding where nearly every job waits. The order steps through _ORDERS
+    until two successive orders agree within _TOL (relative above 1); past
+    the last order the result is returned with an IntegrationWarning. Lags
+    go through in blocks that keep every temporary array near _BLOCK
+    elements.
     """
     lags = np.asarray(lags, dtype=float)
     s_lo, s_hi = service.support()
     s_hi = min(s_hi, service.upper_quantile(RULE_TAIL_EPS))
+    h0 = None if h is None else h(np.zeros(1))[0]
 
     def terms_at(order):
-        terms = np.empty((2 if h is None else 3, len(lags)))
+        terms = np.empty((1 if h is None else 2, len(lags)))
         # (outer nodes x inner nodes) per lag, from the rules' sizes at one lag
         per_lag = (delay.gauss_rule(order, breaks=(s_lo, s_hi))[0].shape[-1]
                    * service.gauss_rule(order)[0].shape[-1])
@@ -163,10 +153,11 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
             y = lag[:, None] + d
             s, ws = service.gauss_rule(order, above=y)
             excess = np.maximum(s - y[..., None], 0.0)  # zero where the weight is
-            terms[0, i:i + step] = (wd * service.cdf(y)).sum(-1)
-            terms[1, i:i + step] = (wd * (ws * excess).sum(-1)).sum(-1)
+            terms[0, i:i + step] = (wd * (ws * excess).sum(-1)).sum(-1)
             if h is not None:
-                terms[2, i:i + step] = (wd * (ws * h(excess)).sum(-1)).sum(-1)
+                terms[1, i:i + step] = (
+                    wd * (service.cdf(y) * h0 + (ws * h(excess)).sum(-1))
+                ).sum(-1)
         return terms
 
     return _settled(terms_at)
@@ -194,37 +185,38 @@ def _settled(value_at):
 
 
 def _closed_terms(service, delay, f, lags) -> np.ndarray | None:
-    """The rows of _wait_terms (the third one given f) in closed form, or
+    """The rows of _wait_terms (the second one given f) in closed form, or
     None when the laws have none.
 
-    Two point masses have all three rows for any reward. Exponential service
-    has the first two for any delay: its overshoot past lag + D is again
-    exponential, so E[W] = P(W > 0) / rate. For an exponential reward that
-    overshoot also gives the third: W given W > 0 is distributed as S, and
-    h(w) = M_S(-kappa) e^(-kappa w), so the row is P(W > 0) M_S(-kappa)^2.
-    The first row is P(W = 0) = 1 - P(W > 0).
+    Two point masses have both rows for any reward: W is a point mass too.
+    Exponential service has E[W] for any delay: its overshoot past lag + D
+    is again exponential, so E[W] = P(W > 0) / rate. For an exponential
+    reward that overshoot also gives the second row: W given W > 0 is
+    distributed as S, and h(w) = M_S(-kappa) e^(-kappa w), so
+    E[h(W)] = (1 - p) M_S(-kappa) + p M_S(-kappa)^2 with p = P(W > 0).
     """
     lags = np.asarray(lags, dtype=float)
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
         waits = np.maximum(service.value - delay.value - lags, 0.0)
-        busy = (waits > 0.0).astype(float)
-        rows = [1.0 - busy, waits]
+        rows = [waits]
         if f is not None:
-            rows.append(busy * f.eval(waits + service.value))
+            rows.append(f.eval(waits + service.value))
     elif isinstance(service, Exponential) and (f is None or isinstance(f, ExponentialReward)):
         # one scalar call per lag, so that reward_exact(lag) is the grid's entry bit for bit
         busy = np.array([prob_diff_exceeds(service, delay, lag) for lag in lags])
-        rows = [1.0 - busy, busy / service.rate]
+        rows = [busy / service.rate]
         if f is not None:
-            rows.append(busy * service.mgf(-f.kappa) ** 2)
+            ms = service.mgf(-f.kappa)
+            rows.append((1.0 - busy) * ms + busy * ms ** 2)
     else:
         return None
     return np.array(rows)
 
 
 def _terms(service, delay, lags, f=None) -> np.ndarray:
-    """The rows of _wait_terms at every lag, the third one given f: the
-    closed form where the laws have one, else one kernel call for the grid."""
+    """The rows of _wait_terms at every lag, the second one given f: the
+    closed form where the laws have one, else one kernel call for the grid,
+    with one h table."""
     closed = _closed_terms(service, delay, f, lags)
     if closed is not None:
         return closed
@@ -232,15 +224,9 @@ def _terms(service, delay, lags, f=None) -> np.ndarray:
 
 
 def _exact_rewards(service, delay, f, lags) -> np.ndarray:
-    """G at every lag from the rows of _terms: a job does not wait with
-    probability P(W = 0) and scores h(0) = E[f(S)] then, else E[h(W) 1{W > 0}].
-
-    P(W = 0) comes from the integrand F_S(lag + D), not as 1 - P(W > 0):
-    where nearly every job waits, that difference would cancel to rounding
-    and swamp a G far below h(0)."""
+    """G = E[h(W)] / (lag + E[D] + E[W]) at every lag, from the rows of _terms."""
     lags = np.asarray(lags, dtype=float)
-    p_idle, ew, tail = _terms(service, delay, lags, f)
-    numer = p_idle * _reward_after_wait(service, f)(np.zeros(1)) + tail
+    ew, numer = _terms(service, delay, lags, f)
     return _per_span(numer, lags + delay.mean + ew)
 
 

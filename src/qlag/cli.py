@@ -168,12 +168,14 @@ def _take(values: dict, keys) -> dict:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "root must be a JSON object")
     return cfg
@@ -202,7 +204,10 @@ class _OutputDir:
     def __init__(self, path: str, force: bool):
         self.dir = Path(path)
         self.force = force
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot make the output directory {path}: {exc}")
 
     def target(self, name: str) -> Path:
         path = self.dir / name

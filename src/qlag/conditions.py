@@ -15,7 +15,7 @@ exponential moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .distributions import (
 )
 from ._fmt import fmt_float, write_table
 from .analytics import _check_positive, _exact_waits, _settled
+from .reward import PolynomialReward
 from .simulator import ParameterError
 
 __all__ = [
@@ -222,19 +223,14 @@ def check_polynomial(
     """Polynomial-reward specialization:
 
     gamma * E[D + S + 1] * sqrt(E[(S+1)^(-2*gamma-2)]) / E[(S + S_prev + 1)^(-gamma)]
-        <= 1/sqrt(p) - sqrt(p).
+        <= 1/sqrt(p) - sqrt(p),
+
+    which is check_general at f(t) = (t + 1)^(-gamma).
     """
     _check_positive("gamma", gamma)
-    return _zero_lag_report(
-        "cor2_polynomial", service, delay, check_assumption,
-        lambda mean_term: _ratio(
-            gamma
-            * mean_term
-            * math.sqrt(max(service.expect(lambda s: (s + 1.0) ** (-2.0 * gamma - 2.0)), 0.0)),
-            _expect_sum_two(service, lambda t: (t + 1.0) ** (-gamma)),
-            "E[(S + S_prev + 1)^(-gamma)]",
-        ),
-    )
+    report = check_general(service, delay, PolynomialReward(gamma),
+                           check_assumption=check_assumption)
+    return replace(report, condition_id="cor2_polynomial")
 
 
 def _prob_delay_exceeds_service(service, delay) -> tuple[float, str]:

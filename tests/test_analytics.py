@@ -42,7 +42,7 @@ P0 = 100.0 / 133.0  # P(S - D > 0) for the pair above
 
 
 def closed_wait(service, delay, lag):
-    return _closed_terms(service, delay, None, [lag])[1, 0]
+    return _closed_terms(service, delay, None, [lag])[0, 0]
 
 
 def closed_reward(service, delay, f, lag):
@@ -53,7 +53,7 @@ def closed_reward(service, delay, f, lag):
 
 def numeric_wait(service, delay, lag):
     """The quadrature kernel's E[W], also where a closed form exists."""
-    return _wait_terms(service, delay, [lag])[1, 0]
+    return _wait_terms(service, delay, [lag])[0, 0]
 
 
 def kernel_rewards(service, delay, f, lags):
@@ -539,7 +539,6 @@ def test_exact_grid_memory_is_bounded():
     # exponential service: the inner rule runs up to S_prev's 1 - 1e-15
     # quantile, the end of the h table, where an unblocked kernel once took
     # gigabytes
-    analytics._reward_after_wait_cached.cache_clear()
     tracemalloc.start()
     try:
         grid = optimize(Exponential(1.0), Uniform(0.0, 0.66), PolynomialReward(2.0),
@@ -558,6 +557,17 @@ def test_rule_order_cap_warns(monkeypatch):
         reward_exact(service, delay, PolynomialReward(2.0), 0.2)
     with pytest.warns(IntegrationWarning):
         expected_wait(service, delay, 0.2)
+
+
+def test_wide_service_law_reward_matches_monte_carlo():
+    # poly(8) decays on a scale of 1 and the service spans about 1000, so the
+    # h table needs many more service nodes than on the default laws; no
+    # order settles, but the last one is near the Monte-Carlo value
+    service, delay, f = Exponential(30.0), Uniform(0.0, 19.8), PolynomialReward(8.0)
+    with pytest.warns(IntegrationWarning):
+        g = reward_exact(service, delay, f, 0.0)
+    mc = monte_carlo_reward(service, delay, f, 0.0, 2_000_000, seed=1)
+    assert abs(g - mc.value) <= 4.0 * mc.std_error
 
 
 def _scalar_closed_wait(service, delay, lag):
@@ -649,7 +659,7 @@ def test_pairs_without_a_closed_form_make_one_kernel_call_per_grid(service, dela
         kernel_calls.clear()
         waits = _exact_waits(service, delay, DISPATCH_LAGS)
         assert len(kernel_calls) == 1
-        assert waits.tolist() == _wait_terms(service, delay, DISPATCH_LAGS)[1].tolist()
+        assert waits.tolist() == _wait_terms(service, delay, DISPATCH_LAGS)[0].tolist()
 
 
 F1 = ExponentialReward(1.0)

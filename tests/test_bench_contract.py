@@ -54,13 +54,7 @@ def test_traced_adaptive_op_passes_its_check():
     assert (same.wait == t.wait).all() and (same.busy == t.busy).all()
 
 
-def test_reward_cache_hooks_reach_the_analytics_cache():
-    from qlag import PolynomialReward, Uniform, optimize
-
-    cache = tracing.reward_cache()
-    assert cache is not None
-    optimize(Uniform(0.0, 2.0), Uniform(0.0, 0.66), PolynomialReward(2.0), objective="exact",
-             lag_max=1.0, step=0.25)
-    assert cache.cache_info().currsize > 0
+def test_reward_cache_hooks_run_without_an_analytics_cache():
+    # each exact grid builds its own h table, so there is no cache to count or clear
+    assert tracing.reward_cache() is None
     tracing.clear_reward_cache()
-    assert cache.cache_info().currsize == 0

@@ -463,6 +463,35 @@ def test_missing_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _exit_and_record(args, capsys):
+    code = run(args)
+    return code, json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_config_that_is_a_directory(tmp_path, capsys):
+    code, record = _exit_and_record(
+        ["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_CONFIG and record["field"] == "config"
+
+
+def test_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe")
+    code, record = _exit_and_record(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_CONFIG and record["field"] == "config"
+
+
+def test_out_that_is_a_regular_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**EXP_EXP, "n": 50, "lag": 0.2,
+                                  "reward": {"kind": "exp", "kappa": 1.0}})
+    out = tmp_path / "out"
+    out.write_text("")
+    code, record = _exit_and_record(["simulate", "--config", cfg, "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG and record["field"] == "out"
+    assert out.read_text() == ""
+
+
 def test_help_enumerates_every_config_key(capsys):
     for command, keys in COMMAND_CONFIG_KEYS.items():
         with pytest.raises(SystemExit) as exit_info:
