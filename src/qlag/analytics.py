@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy
@@ -22,11 +23,13 @@ from .distributions import (
     Deterministic,
     DistributionSpec,
     Exponential,
+    _expect_copies,
+    _settled,
     monte_carlo_draws,
     prob_diff_exceeds,
 )
 from .reward import ExponentialReward
-from .simulator import ParameterError, _check_lag, _per_span
+from .simulator import ParameterError, _check_lag, _job_count, _per_span
 
 __all__ = [
     "KinkWarning",
@@ -44,8 +47,6 @@ class KinkWarning(UserWarning):
     """S - D has an atom at the requested lag; the derivative is one-sided."""
 
 
-_ORDERS = (16, 24, 32, 48, 64, 96, 128)  # Gauss-Legendre orders per axis, tried in turn
-_TOL = 1e-9       # two successive orders agree within this, relative above 1
 # elements in the kernel's largest temporary arrays: 64 KB blocks keep an
 # exact grid from raising the peak resident memory of a simulation run
 _BLOCK = 1 << 13
@@ -130,9 +131,7 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
     above lag + D, so every integrand is smooth on its piece, and the jobs
     that do not wait add F_S(lag + D) h(0) to the outer integrand: P(W = 0)
     is never taken as 1 - P(W > 0), a difference that would cancel to
-    rounding where nearly every job waits. The order steps through _ORDERS
-    until two successive orders agree within _TOL (relative above 1); past
-    the last order the result is returned with an IntegrationWarning. Lags
+    rounding where nearly every job waits. _settled settles the order. Lags
     go through in blocks that keep every temporary array near _BLOCK
     elements.
     """
@@ -163,37 +162,16 @@ def _wait_terms(service, delay, lags, h=None) -> np.ndarray:
     return _settled(terms_at)
 
 
-def _settled(value_at):
-    """value_at(order) at the orders of _ORDERS in turn, until two successive
-    orders agree within _TOL (relative above 1); past the last order, that
-    order's value with an IntegrationWarning."""
-    previous = None
-    for order in _ORDERS:
-        value = value_at(order)
-        if previous is not None and np.all(
-            np.abs(value - previous) <= _TOL * np.maximum(1.0, np.abs(value))
-        ):
-            return value
-        previous = value
-    warnings.warn(
-        f"the Gauss-Legendre rule has not settled within {_TOL:g} by order "
-        f"{_ORDERS[-1]}; returning that order's value",
-        scipy.integrate.IntegrationWarning,
-        stacklevel=4,
-    )
-    return value
-
-
 def _closed_terms(service, delay, f, lags) -> np.ndarray | None:
     """The rows of _wait_terms (the second one given f) in closed form, or
     None when the laws have none.
 
     Two point masses have both rows for any reward: W is a point mass too.
-    Exponential service has E[W] for any delay: its overshoot past lag + D
-    is again exponential, so E[W] = P(W > 0) / rate. For an exponential
-    reward that overshoot also gives the second row: W given W > 0 is
-    distributed as S, and h(w) = M_S(-kappa) e^(-kappa w), so
-    E[h(W)] = (1 - p) M_S(-kappa) + p M_S(-kappa)^2 with p = P(W > 0).
+    Exponential service has both for any delay and reward: its overshoot
+    past lag + D is again exponential, so E[W] = P(W > 0) / rate, and W
+    given W > 0 is distributed as S, so E[h(W)] = (1 - p) E[f(S)] +
+    p E[f(S + S')] with p = P(W > 0). An exponential reward takes the two
+    moments from the MGF, M_S(-kappa) and M_S(-kappa)^2.
     """
     lags = np.asarray(lags, dtype=float)
     if isinstance(service, Deterministic) and isinstance(delay, Deterministic):
@@ -201,13 +179,16 @@ def _closed_terms(service, delay, f, lags) -> np.ndarray | None:
         rows = [waits]
         if f is not None:
             rows.append(f.eval(waits + service.value))
-    elif isinstance(service, Exponential) and (f is None or isinstance(f, ExponentialReward)):
+    elif isinstance(service, Exponential):
         # one scalar call per lag, so that reward_exact(lag) is the grid's entry bit for bit
         busy = np.array([prob_diff_exceeds(service, delay, lag) for lag in lags])
         rows = [busy / service.rate]
-        if f is not None:
+        if isinstance(f, ExponentialReward):
             ms = service.mgf(-f.kappa)
             rows.append((1.0 - busy) * ms + busy * ms ** 2)
+        elif f is not None:
+            rows.append((1.0 - busy) * service.expect(f.eval)
+                        + busy * _expect_copies(service, f.eval, 2))
     else:
         return None
     return np.array(rows)
@@ -251,8 +232,7 @@ def monte_carlo_reward(
 ) -> RewardEstimate:
     """Monte-Carlo estimate of the exact reward with a batch-means error bar."""
     _check_lag(lag)
-    if n < 2:
-        raise ParameterError("n", f"Monte-Carlo estimates need at least 2 samples, got {n}")
+    n = _job_count(n, "n", partial(ParameterError, "n"), 2)
     batches = min(100, max(2, n // 100))
     f_sums = np.empty(batches)
     w_sums = np.empty(batches)

@@ -25,11 +25,12 @@ from .distributions import (
     Deterministic,
     DistributionSpec,
     DivergentMGFError,
+    _expect_copies,
     law_for_family,
     prob_diff_exceeds,
 )
 from ._fmt import fmt_float, write_table
-from .analytics import _check_positive, _exact_waits, _settled
+from .analytics import _check_positive, _exact_waits
 from .reward import PolynomialReward
 from .simulator import ParameterError
 
@@ -80,17 +81,6 @@ class AssumptionReport:
     ok: bool
     worst_violation: float
     worst_pair: tuple[float, float]
-
-
-def _expect_sum_two(spec: DistributionSpec, g) -> float:
-    """E[g(X + X')] over two independent copies of the law: the tensor
-    Gauss-Legendre rule of ``gauss_rule``, its order settled as the exact
-    kernel's is. g takes arrays."""
-    def value_at(order):
-        x, w = spec.gauss_rule(order)
-        return w @ g(x[:, None] + x) @ w
-
-    return float(_settled(value_at))
 
 
 def _rhs_from_tail(p: float) -> float:
@@ -183,8 +173,8 @@ def check_general(
     return _zero_lag_report(
         "thm1_general", service, delay, check_assumption,
         lambda mean_term: _ratio(
-            mean_term * math.sqrt(max(service.expect(lambda s: float(f.deriv(s)) ** 2), 0.0)),
-            _expect_sum_two(service, f.eval),
+            mean_term * math.sqrt(max(service.expect(lambda s: f.deriv(s) ** 2), 0.0)),
+            _expect_copies(service, f.eval, 2),
             "E[f(S + S_prev)]",
         ),
     )

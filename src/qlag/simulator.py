@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -82,10 +83,10 @@ def _check_means(*means: float) -> None:
         raise InvalidScheduleError(f"schedule means must be positive and finite, got {means}")
 
 
-def _job_count(value, what: str, error: type) -> int:
-    """value as an int if it is a positive integer (numpy integers count, bools do not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise error(f"{what} must be a positive integer, got {value!r}")
+def _job_count(value, what: str, error, least: int = 1) -> int:
+    """value as an int if it is an integer >= least (numpy integers count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{what} must be an integer of at least {least}, got {value!r}")
     return int(value)
 
 
@@ -282,8 +283,7 @@ def assemble_trajectory(
 
 def _draw(service, delay, n, schedule, seed) -> tuple[np.ndarray, np.ndarray]:
     """The service and delay draws of an n-job run; they never depend on the lag."""
-    if n < 2:
-        raise ParameterError("n", f"need at least 2 jobs, got {n}")
+    n = _job_count(n, "n", partial(ParameterError, "n"), 2)
     ts_means, td_means = schedule_means(schedule, n)
     s = sample_jobs(service, substream(seed, "service"), n, ts_means)
     d = sample_jobs(delay, substream(seed, "delay"), n, td_means)
@@ -348,7 +348,8 @@ def sweep_lags(
     """
     for lag in lags:
         _check_lag(lag)
-    if not 0 <= burn_in < n:
+    n = _job_count(n, "n", partial(ParameterError, "n"), 2)
+    if _job_count(burn_in, "burn_in", partial(ParameterError, "burn_in"), 0) >= n:
         raise ParameterError(
             "burn_in", f"burn_in must lie in [0, n), got {burn_in} with n = {n}"
         )

@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.interpolate  # noqa: F401  (imported before any traced grid)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
 
 from qlag import (
     Deterministic,
@@ -21,6 +22,7 @@ from qlag import (
     Uniform,
     Window,
     check_polynomial,
+    default_cases,
     delta_star,
     estimate_reward_se,
     expected_wait,
@@ -31,10 +33,11 @@ from qlag import (
     surrogate_reward,
     wait_derivative,
 )
-from qlag import analytics
+from qlag import analytics, distributions
 from qlag.analytics import _closed_terms, _exact_rewards, _exact_waits, _terms, _wait_terms
 from qlag.distributions import law_for_family
 from qlag.simulator import _draw, wait_step
+from test_conditions import GaussDecay
 
 EXP_S = Exponential(1.0)
 EXP_D = Exponential(0.33)
@@ -536,22 +539,24 @@ def test_exact_grid_matches_pinned_quadrature(key):
 
 
 def test_exact_grid_memory_is_bounded():
-    # exponential service: the inner rule runs up to S_prev's 1 - 1e-15
-    # quantile, the end of the h table, where an unblocked kernel once took
-    # gigabytes
-    tracemalloc.start()
-    try:
-        grid = optimize(Exponential(1.0), Uniform(0.0, 0.66), PolynomialReward(2.0),
-                        objective="exact")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(grid.points) == 61
-    assert peak < 16 * 2**20
+    # closed-form rows on exponential service, and on a wide uniform service
+    # the kernel (settling at order 64) and the h table (at order 96);
+    # scipy.interpolate is imported at the top of this file, so the traced
+    # peak holds no import
+    for service, delay, f in ((Exponential(1.0), Uniform(0.0, 0.66), PolynomialReward(2.0)),
+                              (Uniform(0.0, 60.0), Exponential(20.0), PolynomialReward(8.0))):
+        tracemalloc.start()
+        try:
+            grid = optimize(service, delay, f, objective="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grid.points) == 61
+        assert peak < 16 * 2**20
 
 
 def test_rule_order_cap_warns(monkeypatch):
-    monkeypatch.setattr(analytics, "_ORDERS", (2, 4))
+    monkeypatch.setattr(distributions, "_ORDERS", (2, 4))
     service, delay = TruncatedNormal(1.0, 0.5, 0.0, 2.0), TruncatedNormal(0.33, 0.165, 0.0, 0.66)
     with pytest.warns(IntegrationWarning):
         reward_exact(service, delay, PolynomialReward(2.0), 0.2)
@@ -559,15 +564,37 @@ def test_rule_order_cap_warns(monkeypatch):
         expected_wait(service, delay, 0.2)
 
 
+def _quad_expect(pdf, g):
+    """E[g(X)] by adaptive quadrature of g * pdf over [0, inf), in pieces cut
+    at the powers of 10 from 1e-3 to 1e3: rewards that bend within 0.01 of 0
+    and laws that span thousands both get their own pieces."""
+    edges = (0.0, *(10.0 ** k for k in range(-3, 4)), math.inf)
+    return sum(quad(lambda t: g(t) * pdf(t), a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _memoryless_reference(service, delay, f, lags):
+    """G of exponential service at each lag from W given W > 0 distributed as
+    S: E[f(S)] and E[f(S + S')] by adaptive quadrature over the Exp and the
+    Gamma(2) law, P(W > 0) = e^(-lag / mean) M_D(-1 / mean)."""
+    m = service.mean
+    one = _quad_expect(lambda t: math.exp(-t / m) / m, f.eval)
+    two = _quad_expect(lambda t: t * math.exp(-t / m) / m ** 2, f.eval)
+    busy = [math.exp(-lag / m) * delay.mgf(-1.0 / m) for lag in lags]
+    return [((1.0 - p) * one + p * two) / (lag + delay.mean + p * m)
+            for lag, p in zip(lags, busy)]
+
+
 def test_wide_service_law_reward_matches_monte_carlo():
-    # poly(8) decays on a scale of 1 and the service spans about 1000, so the
-    # h table needs many more service nodes than on the default laws; no
-    # order settles, but the last one is near the Monte-Carlo value
+    # poly(8) decays on a scale of 1 and the service spans about 1000; the
+    # graded rule puts nodes where the reward bends, so the order settles
     service, delay, f = Exponential(30.0), Uniform(0.0, 19.8), PolynomialReward(8.0)
-    with pytest.warns(IntegrationWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
         g = reward_exact(service, delay, f, 0.0)
     mc = monte_carlo_reward(service, delay, f, 0.0, 2_000_000, seed=1)
     assert abs(g - mc.value) <= 4.0 * mc.std_error
+    assert g == pytest.approx(_memoryless_reference(service, delay, f, [0.0])[0], rel=1e-9, abs=0)
 
 
 def _scalar_closed_wait(service, delay, lag):
@@ -639,11 +666,45 @@ def test_closed_form_pairs_never_call_the_kernel(case, kernel_calls):
     assert kernel_calls == []
 
 
+MEMORYLESS_REWARDS = {
+    "poly0.5": PolynomialReward(0.5), "poly2": PolynomialReward(2.0),
+    "poly8": PolynomialReward(8.0), "poly120": PolynomialReward(120.0), "gauss": GaussDecay(),
+}
+MEMORYLESS_LAGS = [0.0, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("reward", MEMORYLESS_REWARDS)
+@pytest.mark.parametrize("mean", [0.05, 0.15, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0])
+def test_exponential_service_is_closed_form_for_every_reward(mean, reward, kernel_calls):
+    service, f = Exponential(mean), MEMORYLESS_REWARDS[reward]
+    for delay in (Exponential(0.33), Uniform(0.0, 0.66), Deterministic(0.4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rewards = _exact_rewards(service, delay, f, MEMORYLESS_LAGS)
+            assert [reward_exact(service, delay, f, lag)
+                    for lag in MEMORYLESS_LAGS] == rewards.tolist()
+        assert rewards.tolist() == pytest.approx(
+            _memoryless_reference(service, delay, f, MEMORYLESS_LAGS), rel=1e-10, abs=0)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("case", ["A1", "A2", "B1", "B2", "E1", "E2"])
+@pytest.mark.parametrize("reward", ["poly2", "gauss"])
+def test_memoryless_rows_match_the_kernel_on_default_cases(case, reward):
+    service, delay = next((c.service, c.delay) for c in default_cases() if c.id == case)
+    f = MEMORYLESS_REWARDS[reward]
+    grid = optimize(service, delay, f, objective="exact")
+    lags = [p.lag for p in grid.points]
+    kernel = kernel_rewards(service, delay, f, lags)
+    assert [p.reward for p in grid.points] == pytest.approx(kernel.tolist(), rel=1e-7, abs=0)
+    assert grid.best_lag == lags[int(np.argmax(kernel))]
+
+
 @pytest.mark.parametrize("service, delay, f", [
     (Uniform(0.0, 2.0), Uniform(0.0, 0.66), ExponentialReward(1.0)),
-    (Exponential(1.0), Exponential(0.33), PolynomialReward(2.0)),
+    (TruncatedNormal(1.0, 0.5, 0.0, 2.0), Exponential(0.33), PolynomialReward(2.0)),
     (Uniform(0.0, 2.0), Deterministic(0.4), ExponentialReward(1.0)),
-], ids=["unif/unif exp", "exp/exp poly", "unif/det exp"])
+], ids=["unif/unif exp", "truncnorm/exp poly", "unif/det exp"])
 def test_pairs_without_a_closed_form_make_one_kernel_call_per_grid(service, delay, f,
                                                                    kernel_calls):
     assert _closed_terms(service, delay, f, DISPATCH_LAGS) is None
@@ -679,6 +740,7 @@ UNIF_S = Uniform(0.0, 2.0)
     (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, -1.0, 10_000), "lag"),
     (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, math.nan, 10_000), "lag"),
     (lambda: check_polynomial(UNIF_S, EXP_D, 0.0), "gamma"),
+    (lambda: monte_carlo_reward(UNIF_S, EXP_D, F1, 0.2, 1e5), "n"),
 ])
 def test_bad_arguments_name_their_parameter(call, field):
     with warnings.catch_warnings():

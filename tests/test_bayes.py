@@ -134,6 +134,11 @@ class TestRunAdaptive:
             run_adaptive(Exponential(1.0), Exponential(0.33), None, F1,
                          n=1000, reporting=Window.last_k(5000))
 
+    def test_float_job_count_names_n(self):
+        with pytest.raises(simulator.ParameterError) as err:
+            run_adaptive(Exponential(1.0), Exponential(0.33), None, F1, n=2e4)
+        assert err.value.name == "n"
+
     def test_sliding_reporting_returns_series(self):
         r = run_adaptive(Exponential(1.0), Exponential(0.33), None, F1,
                          n=3000, seed=7, reporting=Window.sliding(500))

@@ -1,6 +1,7 @@
 """Zero-lag optimality conditions: frozen values, dual paths, region scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ class TestSpecializations:
             general = check_general(s, d, ExponentialReward(0.7), check_assumption=False)
             special = check_exponential(s, d, 0.7, check_assumption=False)
             assert special.lhs == pytest.approx(general.lhs, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "truncnorm"])
+    @pytest.mark.parametrize("mean", [0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    def test_general_matches_exponential_on_sharp_rewards(self, family, mean):
+        # kappa = 300 bends f within 0.01 of 0, on laws that span up to 550
+        service = law_for_family(family, mean)
+        for kappa in (0.3, 1.0, 30.0, 300.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                general = check_general(service, EXP_D, ExponentialReward(kappa),
+                                        check_assumption=False)
+            special = check_exponential(service, EXP_D, kappa, check_assumption=False)
+            assert general.lhs == pytest.approx(special.lhs, rel=1e-8, abs=0)
+            assert general.notes == special.notes
 
     def test_trivial_holds_cases(self):
         assert check_exponential(Deterministic(1.0), Deterministic(5.0), 1.0).verdict == VERDICT_HOLDS

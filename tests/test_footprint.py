@@ -13,15 +13,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 # the gradient learner under both rewards: the exponential one reads the
-# waiting jobs' reward from suffix sums, the polynomial one evaluates f on them
+# waiting jobs' reward from suffix sums, the polynomial one evaluates f on them;
+# exponential service has closed-form rows and Theorem-1 moments from Gauss
+# rules for every reward
 ADAPTIVE_AND_EXACT = """
 import qlag, qlag.cli
-from qlag import (Exponential, ExponentialReward, PolynomialReward, Uniform, Window, optimize,
-                  run_adaptive)
+from qlag import (Exponential, ExponentialReward, PolynomialReward, Uniform, Window,
+                  check_general, check_polynomial, optimize, run_adaptive)
 service, delay, f = Exponential(1.0), Uniform(0.0, 0.66), ExponentialReward(1.0)
 run_adaptive(service, delay, None, f, n=2000, reporting=Window.last_k(500))
 run_adaptive(service, delay, None, PolynomialReward(2.0), n=2000, reporting=Window.last_k(500))
 optimize(service, delay, f, objective="exact")
+optimize(service, delay, PolynomialReward(2.0), objective="exact")
+check_general(service, delay, PolynomialReward(2.0))
+check_polynomial(service, delay, 2.0)
 """
 
 # the benchmark's sweep process: exact optima of every default case (F1 and

@@ -45,6 +45,16 @@ def test_grid_validation():
     assert len(build_lag_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n=1e5), "n"),
+    (dict(n=20_000, burn_in=1000.0), "burn_in"),
+])
+def test_simulated_objective_rejects_float_job_counts(kwargs, name):
+    with pytest.raises(ParameterError) as err:
+        optimize(EXP_S, EXP_D, F1, **kwargs)
+    assert err.value.name == name
+
+
 def test_surrogate_objective_zero_lag_when_product_saturates():
     result = optimize(EXP_S, Exponential(0.6), F1, objective="surrogate",
                       lag_max=2.0, step=0.05)

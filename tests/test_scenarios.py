@@ -171,6 +171,12 @@ class TestRunSuite:
             run_suite([short])
         assert err.value.name == "specs"
 
+    def test_float_job_count_names_specs(self):
+        spec = _spec(Exponential(1.0), Exponential(0.33), {"bayes"}, n=5e4, case_id="B8")
+        with pytest.raises(ParameterError, match="case B8, seed 1: n must be an integer") as err:
+            run_suite([spec])
+        assert err.value.name == "specs"
+
     def test_bayes_close_to_simulated_grid_for_exp_service(self):
         # exponential-service geometry keeps the zero-lag neighborhood near
         # optimal, so the learned reward lands close to the grid optimum

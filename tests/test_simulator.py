@@ -238,6 +238,13 @@ def test_run_rejects_non_finite_lag(lag):
     assert info.value.name == "lag"
 
 
+@pytest.mark.parametrize("n", [1e4, 2.5, "100"])
+def test_run_rejects_a_job_count_that_is_not_an_integer(n):
+    with pytest.raises(ParameterError) as info:
+        run_fixed_lag(Exponential(1.0), Exponential(0.33), 0.0, n, seed=0)
+    assert info.value.name == "n"
+
+
 class TestSweepLags:
     """The sweep kernel against per-lag runs. The kernel takes the same
     estimator's sums in another order, so each estimate must agree within a
